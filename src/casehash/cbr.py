@@ -18,8 +18,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .index import HashIndex, RetrievalResult
-from .network import NetworkParams
-from .sparse import SparseCase, similarity_label
+from .network import HashCode, NetworkParams
+from .sparse import SparseCase
 from .training import OptimizerState, PairBatch, adaptive_objective_and_grad
 
 VOTE_TIEBREAK = 1e-9
@@ -31,6 +31,7 @@ class Suggestion:
 
     scores hold vote fraction + a distance tiebreak small enough to never
     reorder distinct vote counts; label is None when retrieval came up empty.
+    code is the query's hash code, which solve() reuses to retain it.
     """
 
     query_id: int
@@ -38,6 +39,7 @@ class Suggestion:
     votes: dict = field(default_factory=dict)
     scores: dict = field(default_factory=dict)
     retrieval: RetrievalResult | None = None
+    code: HashCode | None = None
     hash_us: float = 0.0
     retrieve_us: float = 0.0
     reuse_us: float = 0.0
@@ -119,7 +121,7 @@ class CbrEngine:
             label, scores = None, {}
         reuse_us = (time.perf_counter_ns() - t1) / 1e3
         return Suggestion(query_id=query.id, label=label, votes=votes, scores=scores,
-                          retrieval=result, hash_us=hash_us,
+                          retrieval=result, code=code, hash_us=hash_us,
                           retrieve_us=retrieve_us, reuse_us=reuse_us)
 
     @staticmethod
@@ -129,15 +131,18 @@ class CbrEngine:
 
     # retention
 
-    def retain(self, case: SparseCase) -> tuple[bool, bool]:
+    def retain(self, case: SparseCase, code: HashCode | None = None) -> tuple[bool, bool]:
         """Insert a solved case and maybe refresh the model.
 
-        Returns (retained, updated). A no_update engine retains nothing and
-        never updates, preserving its initial case base and codes.
+        code, when given, must be the coder's current code for the case; it
+        saves hashing the case again. Returns (retained, updated). A
+        no_update engine retains nothing and never updates, preserving its
+        initial case base and codes. A case whose id is already stored is
+        not retained either: the index and the buffer stay as they are.
         """
-        if self.no_update:
+        if self.no_update or case.id in self.index:
             return False, False
-        self.index.insert(case, self.coder.code(case))
+        self.index.insert(case, self.coder.code(case) if code is None else code)
         self.buffer.append(case)
         updated = False
         if len(self.buffer) >= self.update_interval and self.trainable:
@@ -170,17 +175,12 @@ class CbrEngine:
         buffered = list(self.buffer)
         others = self._reservoir({c.id for c in buffered})
         cases = buffered + others
-        i_list, j_list, s_list = [], [], []
-        for a in range(len(buffered)):
-            for b in range(a + 1, len(cases)):
-                i_list.append(a)
-                j_list.append(b)
-                s_list.append(similarity_label(cases[a], cases[b]))
+        i, j = np.triu_indices(len(buffered), k=1, m=len(cases))
         self.buffer.clear()
-        if not i_list:
+        if not len(i):
             return 0.0
-        batch = PairBatch(cases=cases, i=np.array(i_list), j=np.array(j_list),
-                          s=np.array(s_list, dtype=float))
+        labels = np.array([c.label for c in cases])
+        batch = PairBatch(cases=cases, i=i, j=j, s=labels[i] == labels[j])
 
         opt = OptimizerState(kind="adam", lr=self.update_lr)
         last = 0.0
@@ -200,7 +200,12 @@ class CbrEngine:
     # full cycle
 
     def solve(self, query: SparseCase, true_label: int | None = None) -> SolveRecord:
-        """Suggest a label; when the truth is revealed, revise and retain."""
+        """Suggest a label; when the truth is revealed, revise and retain.
+
+        The case is retained under the suggestion's code, so it is hashed
+        once. A query whose id is already stored is solved but not retained
+        (retained=False), and the index and the buffer stay as they are.
+        """
         suggestion = self.suggest(query)
         record = SolveRecord(suggestion=suggestion)
         if true_label is None:
@@ -211,7 +216,7 @@ class CbrEngine:
                   else SparseCase(id=query.id, features=query.features,
                                   label=true_label))
         t0 = time.perf_counter_ns()
-        retained, updated = self.retain(solved)
+        retained, updated = self.retain(solved, suggestion.code)
         elapsed_us = (time.perf_counter_ns() - t0) / 1e3
         record.retained = retained
         record.updated = updated

@@ -277,30 +277,43 @@ class HashIndex:
 
     @classmethod
     def load(cls, path) -> "HashIndex":
+        """Read a file written by save(); a short or corrupt file raises
+        DataFormatError."""
         with open(str(path), "rb") as fh:
             if fh.read(4) != INDEX_MAGIC:
                 raise DataFormatError("not an index file")
-            version, r, dim, n = np.fromfile(fh, dtype="<i8", count=4)
+            version, r, dim, n = (int(x) for x in _read(fh, "<i8", 4))
             if version != CHECKPOINT_VERSION:
                 raise DataFormatError(f"unsupported index version {version}")
-            n_words = (int(r) + 63) // 64
-            ids = np.fromfile(fh, dtype="<i8", count=int(n))
-            words = np.fromfile(fh, dtype="<u8", count=int(n) * n_words)
-            words = words.reshape(int(n), n_words)
-            labels = np.fromfile(fh, dtype="<i8", count=int(n))
-            nnz = np.fromfile(fh, dtype="<i8", count=int(n))
-            idx = cls(r=int(r), dim=int(dim))
-            for k in range(int(n)):
-                f_idx = np.fromfile(fh, dtype="<i8", count=int(nnz[k]))
-                f_val = np.fromfile(fh, dtype="<f8", count=int(nnz[k]))
+            if r < 1 or dim < 1 or n < 0:
+                raise DataFormatError(f"corrupt index header: r={r} dim={dim} n={n}")
+            n_words = (r + 63) // 64
+            ids = _read(fh, "<i8", n)
+            words = _read(fh, "<u8", n * n_words).reshape(n, n_words)
+            labels = _read(fh, "<i8", n)
+            nnz = _read(fh, "<i8", n)
+            idx = cls(r=r, dim=dim)
+            for k in range(n):
+                f_idx = _read(fh, "<i8", int(nnz[k]))
+                f_val = _read(fh, "<f8", int(nnz[k]))
                 case = SparseCase(
                     id=int(ids[k]),
-                    features=SparseVector(dim=int(dim),
+                    features=SparseVector(dim=dim,
                                           indices=tuple(int(t) for t in f_idx),
                                           values=tuple(float(v) for v in f_val)),
                     label=int(labels[k]),
                 )
-                code = HashCode(r=int(r),
-                                words=tuple(int(w) for w in words[k]))
+                code = HashCode(r=r, words=tuple(int(w) for w in words[k]))
                 idx.insert(case, code)
         return idx
+
+
+def _read(fh, dtype: str, count: int) -> np.ndarray:
+    """Exactly count items from an index file, else DataFormatError."""
+    if count < 0:
+        raise DataFormatError(f"corrupt index file: negative count {count}")
+    data = np.fromfile(fh, dtype=dtype, count=count)
+    if len(data) != count:
+        raise DataFormatError(
+            f"truncated index file: expected {count} {dtype} items, got {len(data)}")
+    return data

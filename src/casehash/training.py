@@ -5,11 +5,12 @@ The objective over a batch of supervised pairs is
     sum_pairs [ log(1 + e^(alpha * s_hat)) - alpha * s * s_hat ]
         - lambda * sum_cases ||z_out||^2
 
-with s_hat the inner product of the two cases' relaxed outputs. Gradients are
-analytic (validated against central finite differences) and reuse the
-interaction running sums stored in each forward trace. A hinge-gated variant
-of the loss (adaptive_loss) drives the retention-time model update: pairs
-whose code similarity already clears the margin r*beta contribute nothing.
+with s_hat the inner product of the two cases' relaxed outputs. The batch's
+distinct cases run through the network as one CSR block, and the gradients
+are closed-form matrix products over that block (validated against central
+finite differences). A hinge-gated variant of the loss (adaptive_loss) drives
+the retention-time model update: pairs whose code similarity already clears
+the margin r*beta contribute nothing.
 """
 
 from __future__ import annotations
@@ -27,9 +28,11 @@ from .network import (
     ForwardTrace,
     Hyperparams,
     NetworkParams,
-    forward,
     init_params,
+    relu,
+    squash,
 )
+from .sparse import cases_to_csr
 
 
 @dataclass
@@ -55,8 +58,10 @@ class PairBatch:
             raise ValueError("i, j, s must have equal length")
         if np.any(self.i == self.j):
             raise ValueError("self-pairs are not allowed")
-        keys = {(min(a, b), max(a, b)) for a, b in zip(self.i.tolist(), self.j.tolist())}
-        if len(keys) != len(self.i):
+        lo, hi = np.minimum(self.i, self.j), np.maximum(self.i, self.j)
+        order = np.lexsort((hi, lo))
+        lo, hi = lo[order], hi[order]
+        if np.any((lo[1:] == lo[:-1]) & (hi[1:] == hi[:-1])):
             raise ValueError("duplicate unordered pairs in batch")
 
     def __len__(self) -> int:
@@ -144,21 +149,78 @@ def _adaptive_loss_and_dshat(s, s_hat, alpha, beta, r):
     return loss, dshat
 
 
+@dataclass
+class BatchForward:
+    """One forward pass over a CSR block of cases, kept for the backward pass.
+
+    x holds the features (a ones column appended for first_order), x_sq their
+    squares; s1 = x w_p^T and s2 = x_sq (w_p^2)^T are the per-row running sums
+    of the interaction identity, z its output, and pre/outputs each FC layer's
+    pre-activation and output. outputs[-1] holds the relaxed codes.
+    """
+
+    x: object
+    x_sq: object
+    s1: np.ndarray
+    s2: np.ndarray
+    z: np.ndarray
+    pre: list = field(default_factory=list)
+    outputs: list = field(default_factory=list)
+
+    @property
+    def output(self) -> np.ndarray:
+        return self.outputs[-1]
+
+
+def _forward_block(cases, params: NetworkParams) -> BatchForward:
+    """Run the network on many cases at once, keeping every intermediate.
+
+    Same arithmetic as network.forward_batch; raises DivergenceError on a
+    non-finite output.
+    """
+    x = cases_to_csr(cases, params.d, extra_ones_column=params.hyper.first_order)
+    x_sq = x.multiply(x)
+    s1 = x @ params.w_p.T                 # (n, k_w)
+    s2 = x_sq @ (params.w_p ** 2).T
+    z = 0.5 * ((np.square(s1) - s2) @ params.v)
+    fwd = BatchForward(x=x, x_sq=x_sq, s1=s1, s2=s2, z=z)
+    h = z
+    for layer in params.layers:
+        pre = h @ layer.w.T + layer.b
+        h = relu(pre) if layer.activation == "relu" else squash(pre)
+        fwd.pre.append(pre)
+        fwd.outputs.append(h)
+    if not np.all(np.isfinite(h)):
+        raise DivergenceError("non-finite network output")
+    return fwd
+
+
 def _forward_distinct(batch: PairBatch, params: NetworkParams):
-    """Traces and stacked outputs for the batch's distinct cases."""
+    """Forward pass over the batch's distinct cases.
+
+    Returns (positions, forward, z, local): local maps a case position to
+    its row of z, so local[batch.i] gives each pair's first row.
+    """
     positions = batch.distinct_positions()
-    traces = [forward(batch.cases[p], params) for p in positions]
-    z = np.stack([t.output for t in traces]) if traces else np.empty((0, params.hyper.r))
-    local = {p: k for k, p in enumerate(positions.tolist())}
-    return positions, traces, z, local
+    fwd = _forward_block([batch.cases[p] for p in positions], params)
+    local = np.zeros(len(batch.cases), dtype=np.int64)
+    local[positions] = np.arange(len(positions))
+    return positions, fwd, fwd.output, local
 
 
 def _pair_terms(batch: PairBatch, z: np.ndarray, local, alpha: float):
-    li = np.array([local[p] for p in batch.i.tolist()], dtype=np.int64)
-    lj = np.array([local[p] for p in batch.j.tolist()], dtype=np.int64)
-    s_hat = (z[li] * z[lj]).sum(axis=1) if len(li) else np.empty(0)
+    li, lj = local[batch.i], local[batch.j]
+    s_hat = (z[li] * z[lj]).sum(axis=1)
     losses = np.logaddexp(0.0, alpha * s_hat) - alpha * batch.s * s_hat
     return li, lj, s_hat, losses
+
+
+def _pair_pull(li, lj, coeff, z: np.ndarray) -> np.ndarray:
+    """Per row of z, the coefficient-weighted sum of its pair partners' rows,
+    as (C + C^T) z with C[li, lj] = coeff (pairs are unique and unordered)."""
+    pull = np.zeros((len(z), len(z)))
+    pull[li, lj] = coeff
+    return (pull + pull.T) @ z
 
 
 def batch_objective(batch: PairBatch, params: NetworkParams) -> float:
@@ -169,50 +231,44 @@ def batch_objective(batch: PairBatch, params: NetworkParams) -> float:
     return float(losses.sum() - hyper.lambda_ * np.square(z).sum())
 
 
-def _backward(batch: PairBatch, params: NetworkParams, traces, deltas) -> Gradients:
-    """Push per-case dL/dz_out back through FC layers, views and embeddings.
+def _backward(params: NetworkParams, fwd: BatchForward, deltas: np.ndarray) -> Gradients:
+    """Push dL/dz_out (one row per case) back through FC layers, views and
+    embeddings, summed over the block.
 
-    Reuses each trace's stored running sums: for an active feature with value
-    x and embedding e, dL/dw_p[:, slot] = g * x * (sum_e - e) where
-    g = v @ dL/dz.
+    With G = (dL/dz) v^T, a case's active feature j with value x_j gets
+    dL/dw_p[:, j] = g * x_j * (s1 - x_j w_p[:, j]); summed over the block that
+    is (G o S1)^T X - w_p o (G^T X_sq).
     """
-    grads = zero_gradients(params)
-    for trace, delta in zip(traces, deltas):
-        d_out = delta
-        for li in reversed(range(len(params.layers))):
-            layer = params.layers[li]
-            out = trace.outputs[li]
-            if layer.activation == "squash":
-                d_pre = d_out * (-(1.0 - np.square(out)) / 2.0)
-            else:
-                d_pre = d_out * (trace.pre[li] > 0.0)
-            h_in = trace.outputs[li - 1] if li > 0 else trace.z
-            dw, db = grads.layers[li]
-            dw += np.outer(d_pre, h_in)
-            db += d_pre
-            d_out = layer.w.T @ d_pre
-        # d_out is now dL/dz (k_v,)
-        grads.v += 0.5 * np.outer(np.square(trace.sum_e) - trace.sum_e_sq, d_out)
-        if trace.active_indices.size:
-            g = params.v @ d_out
-            contrib = g[:, None] * (trace.active_values *
-                                    (trace.sum_e[:, None] - trace.embeddings))
-            grads.w_p[:, trace.active_indices] += contrib
-    return grads
+    d_out = deltas
+    layers = []
+    for li in reversed(range(len(params.layers))):
+        layer = params.layers[li]
+        out = fwd.outputs[li]
+        if layer.activation == "squash":
+            d_pre = d_out * (-(1.0 - np.square(out)) / 2.0)
+        else:
+            d_pre = d_out * (fwd.pre[li] > 0.0)
+        h_in = fwd.outputs[li - 1] if li > 0 else fwd.z
+        layers.append((d_pre.T @ h_in, d_pre.sum(axis=0)))
+        d_out = d_pre @ layer.w
+    # d_out is now dL/dz, one row per case
+    g = d_out @ params.v.T
+    return Gradients(
+        w_p=(fwd.x.T @ (g * fwd.s1)).T - params.w_p * (fwd.x_sq.T @ g).T,
+        v=0.5 * ((np.square(fwd.s1) - fwd.s2).T @ d_out),
+        layers=layers[::-1],
+    )
 
 
 def _objective_and_grad(batch: PairBatch, params: NetworkParams):
     hyper = params.hyper
-    positions, traces, z, local = _forward_distinct(batch, params)
+    _, fwd, z, local = _forward_distinct(batch, params)
     li, lj, s_hat, losses = _pair_terms(batch, z, local, hyper.alpha)
     value = float(losses.sum() - hyper.lambda_ * np.square(z).sum())
 
-    deltas = -2.0 * hyper.lambda_ * z
-    if len(li):
-        coeff = hyper.alpha * (expit(hyper.alpha * s_hat) - batch.s)
-        np.add.at(deltas, li, coeff[:, None] * z[lj])
-        np.add.at(deltas, lj, coeff[:, None] * z[li])
-    return value, _backward(batch, params, traces, deltas)
+    coeff = hyper.alpha * (expit(hyper.alpha * s_hat) - batch.s)
+    deltas = _pair_pull(li, lj, coeff, z) - 2.0 * hyper.lambda_ * z
+    return value, _backward(params, fwd, deltas)
 
 
 def grad(batch: PairBatch, params: NetworkParams) -> Gradients:
@@ -226,17 +282,12 @@ def grad(batch: PairBatch, params: NetworkParams) -> Gradients:
 def adaptive_objective_and_grad(batch: PairBatch, params: NetworkParams):
     """Summed adaptive loss and its gradient; margin-satisfied pairs are inert."""
     hyper = params.hyper
-    positions, traces, z, local = _forward_distinct(batch, params)
-    li = np.array([local[p] for p in batch.i.tolist()], dtype=np.int64)
-    lj = np.array([local[p] for p in batch.j.tolist()], dtype=np.int64)
-    s_hat = (z[li] * z[lj]).sum(axis=1) if len(li) else np.empty(0)
+    _, fwd, z, local = _forward_distinct(batch, params)
+    li, lj = local[batch.i], local[batch.j]
+    s_hat = (z[li] * z[lj]).sum(axis=1)
     losses, dshat = _adaptive_loss_and_dshat(batch.s, s_hat, hyper.alpha,
                                              hyper.beta, hyper.r)
-    deltas = np.zeros_like(z)
-    if len(li):
-        np.add.at(deltas, li, dshat[:, None] * z[lj])
-        np.add.at(deltas, lj, dshat[:, None] * z[li])
-    return float(losses.sum()), _backward(batch, params, traces, deltas)
+    return float(losses.sum()), _backward(params, fwd, _pair_pull(li, lj, dshat, z))
 
 
 def finite_diff_grad(batch: PairBatch, params: NetworkParams, eps: float = 1e-5) -> Gradients:
@@ -271,47 +322,39 @@ def sample_pairs(cases, batch_size: int, seed: int, neg_ratio: float = 1.0) -> P
         raise ValueError("need at least 2 cases to form pairs")
     rng = np.random.default_rng(seed)
 
-    by_label: dict[int, list[int]] = {}
-    for pos, case in enumerate(cases):
-        by_label.setdefault(case.label, []).append(pos)
-    pools = [list(rng.permutation(by_label[lab])) for lab in sorted(by_label)]
-    chosen: list[int] = []
-    cursor = 0
-    while len(chosen) < min(batch_size, len(cases)):
-        pool = pools[cursor % len(pools)]
-        if pool:
-            chosen.append(int(pool.pop()))
-        cursor += 1
-        if all(not p for p in pools):
-            break
-    chosen.sort()
+    labels = np.fromiter((c.label for c in cases), dtype=np.int64, count=len(cases))
+    by_label = np.argsort(labels, kind="stable")
+    bounds = np.flatnonzero(np.diff(labels[by_label])) + 1
+    pools = [rng.permutation(group) for group in np.split(by_label, bounds)]
+    # the draw takes one case per label in turn, each from the end of its
+    # pool: the case t places from the end goes in round t
+    rounds = np.concatenate([np.arange(len(p))[::-1] for p in pools])
+    turn = np.repeat(np.arange(len(pools)), [len(p) for p in pools])
+    drawn = np.lexsort((turn, rounds))[:min(batch_size, len(cases))]
+    chosen = np.sort(np.concatenate(pools)[drawn])
 
-    pos_pairs, neg_pairs = [], []
-    for a in range(len(chosen)):
-        for b in range(a + 1, len(chosen)):
-            p, q = chosen[a], chosen[b]
-            if cases[p].label == cases[q].label:
-                pos_pairs.append((p, q))
-            else:
-                neg_pairs.append((p, q))
+    a, b = np.triu_indices(len(chosen), k=1)
+    p, q = chosen[a], chosen[b]
+    same = labels[p] == labels[q]
+    n_pos, n_neg = int(same.sum()), int((~same).sum())
 
-    unbalanced = not pos_pairs or not neg_pairs
+    unbalanced = n_pos == 0 or n_neg == 0
     if unbalanced:
-        if not pos_pairs and not neg_pairs:
+        if n_pos == 0 and n_neg == 0:
             raise ValueError("no pairs could be formed")
         warnings.warn("degenerate supervision: batch has a single pair polarity",
                       stacklevel=2)
-        kept_neg = neg_pairs
+        neg = ~same
     else:
-        target = min(len(neg_pairs), int(round(len(pos_pairs) * neg_ratio)))
+        target = min(n_neg, int(round(n_pos * neg_ratio)))
         target = max(target, 1)
-        keep = rng.choice(len(neg_pairs), size=target, replace=False)
-        kept_neg = [neg_pairs[int(k)] for k in sorted(keep)]
+        keep = rng.choice(n_neg, size=target, replace=False)
+        neg = np.zeros(len(same), dtype=bool)
+        neg[np.flatnonzero(~same)[keep]] = True
 
-    pairs = pos_pairs + kept_neg
-    s = np.array([1.0] * len(pos_pairs) + [0.0] * len(kept_neg))
-    i = np.array([p for p, _ in pairs], dtype=np.int64)
-    j = np.array([q for _, q in pairs], dtype=np.int64)
+    i = np.concatenate([p[same], p[neg]])
+    j = np.concatenate([q[same], q[neg]])
+    s = np.concatenate([np.ones(n_pos), np.zeros(int(neg.sum()))])
     return PairBatch(cases=cases, i=i, j=j, s=s, unbalanced=unbalanced)
 
 

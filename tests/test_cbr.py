@@ -1,10 +1,28 @@
 import numpy as np
 import pytest
 
-from casehash import CbrEngine, HashIndex, Hyperparams, LshPlanes, init_params
+from casehash import (CbrEngine, HashIndex, Hyperparams, LshPlanes, clustered_fixture,
+                      init_params)
+import casehash.cbr as cbr_module
 from casehash.cbr import Suggestion
 
 from conftest import make_case, random_cases
+
+
+class CountingCoder:
+    """Wraps a coder and counts its single-case code() calls."""
+
+    def __init__(self, inner):
+        self.inner = inner
+        self.r = inner.r
+        self.calls = 0
+
+    def code(self, case):
+        self.calls += 1
+        return self.inner.code(case)
+
+    def code_batch(self, cases):
+        return self.inner.code_batch(cases)
 
 
 def one_bucket_index(cases):
@@ -125,6 +143,29 @@ class TestRetain:
         changed = any(not np.array_equal(a, before[n]) for n, a in params.arrays())
         assert changed
 
+    def test_update_pairs_buffer_against_all(self, rng, monkeypatch):
+        # every buffer case pairs with each later case of buffer + reservoir
+        cases = random_cases(rng, 30, dim=8, nnz=3, n_labels=3)
+        hyper = Hyperparams(k_w=4, k_v=4, r=8, l=2, hidden=4, n_u=4)
+        params = init_params(hyper, d=8, seed=1)
+        eng = CbrEngine(HashIndex.build(cases, params), params, top_n=3, seed=2)
+        seen = []
+        real = cbr_module.adaptive_objective_and_grad
+
+        def spy(batch, coder):
+            seen.append(batch)
+            return real(batch, coder)
+
+        monkeypatch.setattr(cbr_module, "adaptive_objective_and_grad", spy)
+        for c in random_cases(rng, 4, dim=8, nnz=3, n_labels=3, id_start=100):
+            eng.retain(c)
+        batch = seen[0]
+        assert [c.id for c in batch.cases[:4]] == [100, 101, 102, 103]
+        want = [(a, b) for a in range(4) for b in range(a + 1, len(batch.cases))]
+        assert list(zip(batch.i.tolist(), batch.j.tolist())) == want
+        assert batch.s.tolist() == [
+            float(batch.cases[a].label == batch.cases[b].label) for a, b in want]
+
     def test_zero_loss_update_is_bitwise_noop(self, rng):
         # saturate the last layer so every output is exactly +-1; a
         # single-label buffer then has s_hat = r >= margin for every pair,
@@ -168,6 +209,34 @@ class TestSolve:
         assert rec.correct is None
         assert not rec.retained
         assert 88 not in idx
+
+    def test_query_hashed_once(self, rng):
+        cases = random_cases(rng, 20, dim=6, nnz=3)
+        idx, planes = one_bucket_index(cases)
+        coder = CountingCoder(planes)
+        eng = CbrEngine(idx, coder, top_n=5, update_interval=100)
+        q = make_case(6, [(0, 0.4)], label=1, case_id=77)
+        rec = eng.solve(q, true_label=1)
+        assert rec.retained
+        assert coder.calls == 1
+        assert idx.code(77) == planes.code(q) == rec.suggestion.code
+
+    def test_stored_id_is_not_retained(self):
+        # solving a case that is already stored must not raise mid-stream
+        base = clustered_fixture(n=250, seed=8)
+        hyper = Hyperparams(k_w=4, k_v=4, r=8, l=2, hidden=4, n_u=5)
+        params = init_params(hyper, d=base[0].features.dim, seed=1)
+        idx = HashIndex.build(base, params)
+        codes = {cid: idx.code(cid) for cid in idx.ids()}
+        eng = CbrEngine(idx, params, top_n=3, seed=2)
+        rec = eng.solve(base[0], true_label=base[0].label)
+        assert not rec.retained and not rec.updated
+        assert rec.correct in (True, False)
+        assert 0 in rec.suggestion.retrieval.ids  # it finds itself
+        assert eng.buffer == []
+        assert len(idx) == 250
+        assert idx.case(0) == base[0]
+        assert {cid: idx.code(cid) for cid in idx.ids()} == codes
 
     def test_revealed_label_overrides_placeholder(self, rng):
         cases = random_cases(rng, 10, dim=6, nnz=3)

@@ -150,6 +150,21 @@ class TestIndexAndQuery:
         assert len(lines) == 5
         assert all(len(l["neighbors"]) <= 4 for l in lines)
 
+    def test_truncated_index_exits_3(self, tmp_path, data_file, capsys):
+        idx_path = tmp_path / "c.idx"
+        code, _, _ = run(
+            capsys, "index", "--data", data_file, "--hash", "lsh", "--bits", "8",
+            "--out", str(idx_path))
+        assert code == 0
+        data = idx_path.read_bytes()
+        idx_path.write_bytes(data[:len(data) // 2])
+        code, stdout, err = run(
+            capsys, "query", "--index", str(idx_path), "--data", data_file,
+            "--hash", "lsh", "--bits", "8")
+        assert code == 3
+        assert "truncated index file" in err
+        assert stdout == ""
+
     def test_index_requires_coder(self, data_file, capsys):
         code, _, err = run(capsys, "index", "--data", data_file)
         assert code == 2

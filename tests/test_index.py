@@ -219,3 +219,13 @@ class TestPersistence:
         p.write_bytes(b"JUNKJUNKJUNK")
         with pytest.raises(DataFormatError):
             HashIndex.load(p)
+
+    def test_truncated_file_rejected(self, rng, tmp_path):
+        idx, _, _ = small_index(rng)
+        p = tmp_path / "cases.idx"
+        idx.save(p)
+        data = p.read_bytes()
+        for cut in (len(data) // 2, len(data) - 1, 20):
+            p.write_bytes(data[:cut])
+            with pytest.raises(DataFormatError, match="truncated"):
+                HashIndex.load(p)
