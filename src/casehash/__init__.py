@@ -21,7 +21,7 @@ from .eval import (
     map_at_n,
     prec_at_n,
 )
-from .index import HashIndex, RetrievalResult, hamming_ball, hamming_distance
+from .index import HashIndex, RetrievalResult, hamming_ball
 from .network import (
     DivergenceError,
     HashCode,
@@ -29,6 +29,7 @@ from .network import (
     NetworkParams,
     forward,
     forward_batch,
+    hamming_distance,
     hash_case,
     init_params,
     load_checkpoint,

@@ -332,8 +332,8 @@ def cmd_index(args, cfg: RunConfig) -> int:
     idx = HashIndex.build(cases, coder)
     out = args.out or "cases.idx"
     idx.save(out)
-    print(json.dumps({"path": out, "n_cases": len(idx),
-                      "n_buckets": idx.n_buckets, "bits": idx.r}, indent=2))
+    print(json.dumps({"path": out, "n_cases": len(idx), **idx.stats(), "bits": idx.r},
+                     indent=2))
     return 0
 
 

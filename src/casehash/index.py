@@ -1,32 +1,36 @@
 """Hamming-bucket index over binary case codes with exact rerank.
 
-Cases are bucketed by their packed hash code. A query gathers candidates by
-expanding the Hamming ball around its code one complete radius level at a
-time (0, then 1, then 2 by default), stopping as soon as enough candidates
-exist, and reranks the survivors by Euclidean distance on the original
-feature vectors. linear_scan ranks every stored case with the same distance
-kernel and serves as the retrieval oracle.
+Cases are bucketed by their packed hash code. Each bucket is an ascending
+int64 array of row positions in the feature snapshot, a CSR matrix whose
+rows follow the order in which cases were stored; an insert appends one row
+position to one bucket, and a remove or a recode regroups every bucket in
+bulk. A query gathers candidates by expanding the Hamming ball around its
+code one complete radius level at a time (0, then 1, then 2 by default),
+stopping as soon as enough candidates exist; since buckets are disjoint the
+gathered arrays concatenate into the candidate rows with no set or id
+search. The survivors are reranked by Euclidean distance on the original
+feature vectors and the top n kept by (distance, id). linear_scan ranks
+every stored case with the same distance kernel and serves as the retrieval
+oracle.
 """
 
 from __future__ import annotations
 
+import os
 import time
-from dataclasses import dataclass, field
-from itertools import combinations
+from dataclasses import dataclass
+from itertools import chain, combinations
 
 import numpy as np
+from scipy import sparse as sp
+
+# the compiled kernels behind scipy's own x[rows] @ q
+from scipy.sparse._sparsetools import csr_matvec, csr_row_index
 
 from .network import CHECKPOINT_VERSION, HashCode
 from .sparse import DataFormatError, SparseCase, SparseVector, cases_to_csr
 
 INDEX_MAGIC = b"CHIX"
-
-
-def hamming_distance(a: HashCode, b: HashCode) -> int:
-    """Number of differing bits; equals (r - <a, b>) / 2 on sign vectors."""
-    if a.r != b.r:
-        raise ValueError("codes have different widths")
-    return sum((wa ^ wb).bit_count() for wa, wb in zip(a.words, b.words))
 
 
 def hamming_ball(code: HashCode, radius: int):
@@ -37,6 +41,36 @@ def hamming_ball(code: HashCode, radius: int):
     for t in range(1, radius + 1):
         for bits in combinations(range(code.r), t):
             yield code.flip(*bits)
+
+
+def _code_key(words) -> int:
+    """The packed words as one int, bit m of the code at bit m of the key."""
+    key = 0
+    for i, w in enumerate(words):
+        key |= w << (64 * i)
+    return key
+
+
+def _group(words: np.ndarray) -> dict[int, np.ndarray]:
+    """Bucket the rows of an (n, n_words) code array by code: key -> rows.
+
+    One stable sort over the words, so every bucket's rows come out
+    ascending.
+    """
+    if not len(words):
+        return {}
+    order = np.lexsort(words.T[::-1])
+    ordered = words[order]
+    starts = np.flatnonzero(np.r_[True, (ordered[1:] != ordered[:-1]).any(axis=1)])
+    keys = [_code_key(row) for row in ordered[starts].tolist()]
+    bounds = [*starts.tolist(), len(order)]
+    return {key: order[a:b] for key, a, b in zip(keys, bounds, bounds[1:])}
+
+
+def _feature_mask(nnz: np.ndarray) -> np.ndarray:
+    """True at the index slots of the per-case (indices, values) runs that
+    the index file interleaves: nnz[k] indices, then nnz[k] values."""
+    return np.repeat(np.tile([True, False], len(nnz)), np.repeat(nnz, 2))
 
 
 @dataclass
@@ -60,13 +94,13 @@ class HashIndex:
             raise ValueError("r and dim must be positive")
         self.r = r
         self.dim = dim
+        # insertion order is row order in the snapshot and the buckets
         self._cases: dict[int, SparseCase] = {}
         self._codes: dict[int, HashCode] = {}
-        # buckets are keyed by the raw packed words so probing skips
-        # HashCode construction on the hot path
-        self._buckets: dict[tuple[int, ...], list[int]] = {}
-        self._bit_masks = [(m // 64, 1 << (m % 64)) for m in range(r)]
-        self._snapshot = None  # (ids array, csr matrix, row squared norms)
+        # code key -> ascending row positions; never empty
+        self._buckets: dict[int, np.ndarray] = {}
+        self._masks: dict[int, list[int]] = {}
+        self._snapshot = None  # (row ids, csr matrix, row squared norms)
 
     def __len__(self) -> int:
         return len(self._cases)
@@ -87,6 +121,18 @@ class HashIndex:
     def n_buckets(self) -> int:
         return len(self._buckets)
 
+    def stats(self) -> dict:
+        """Bucket count, largest bucket and, per bit, the fraction of stored
+        cases whose code has that bit set."""
+        sizes = np.array([len(b) for b in self._buckets.values()], dtype=np.int64)
+        n_words = (self.r + 63) // 64
+        keys = np.array([[(k >> (64 * i)) & 0xFFFFFFFFFFFFFFFF for i in range(n_words)]
+                         for k in self._buckets], dtype="<u8").reshape(len(sizes), n_words)
+        bits = np.unpackbits(keys.view(np.uint8), axis=1, bitorder="little")[:, :self.r]
+        balance = sizes @ bits / max(len(self), 1)
+        return {"n_buckets": len(sizes), "largest_bucket": int(sizes.max(initial=0)),
+                "bit_balance": [float(b) for b in balance]}
+
     @classmethod
     def build(cls, cases, coder) -> "HashIndex":
         """Index a case collection; coder must provide code_batch(cases)."""
@@ -95,10 +141,11 @@ class HashIndex:
             raise ValueError("cannot build an index from zero cases")
         idx = cls(r=coder.r, dim=cases[0].features.dim)
         for case, code in zip(cases, coder.code_batch(cases)):
-            idx.insert(case, code)
+            idx._store(case, code)
+        idx._regroup()
         return idx
 
-    def insert(self, case: SparseCase, code: HashCode) -> None:
+    def _store(self, case: SparseCase, code: HashCode) -> None:
         if case.id in self._cases:
             raise KeyError(f"duplicate case id {case.id}")
         if case.features.dim != self.dim:
@@ -108,70 +155,63 @@ class HashIndex:
             raise ValueError(f"code width {code.r} does not match index width {self.r}")
         self._cases[case.id] = case
         self._codes[case.id] = code
-        self._buckets.setdefault(code.words, []).append(case.id)
+
+    def _regroup(self) -> None:
+        """Rebuild every bucket from the stored codes in row order."""
+        n_words = (self.r + 63) // 64
+        words = np.fromiter(chain.from_iterable(self._codes[cid].words for cid in self._cases),
+                            dtype=np.uint64, count=len(self._cases) * n_words)
+        self._buckets = _group(words.reshape(len(self._cases), n_words))
+
+    def insert(self, case: SparseCase, code: HashCode) -> None:
+        self._store(case, code)
+        row = np.array([len(self._cases) - 1], dtype=np.int64)
+        key = _code_key(code.words)
+        bucket = self._buckets.get(key)
+        self._buckets[key] = row if bucket is None else np.concatenate((bucket, row))
         self._snapshot = None
 
     def remove(self, case_id: int) -> SparseCase:
         if case_id not in self._cases:
             raise KeyError(f"unknown case id {case_id}")
         case = self._cases.pop(case_id)
-        code = self._codes.pop(case_id)
-        bucket = self._buckets[code.words]
-        bucket.remove(case_id)
-        if not bucket:
-            del self._buckets[code.words]
+        del self._codes[case_id]
+        self._regroup()  # every later row moves up by one
         self._snapshot = None
         return case
 
     def replace_codes(self, coder) -> None:
         """Recompute every stored code and rebuild the buckets in place."""
         ids = self.ids()
-        cases = [self._cases[i] for i in ids]
-        codes = coder.code_batch(cases)
-        self._codes = dict(zip(ids, codes))
-        self._buckets = {}
-        for cid, code in zip(ids, codes):
-            self._buckets.setdefault(code.words, []).append(cid)
-        # feature matrix is unchanged; keep any existing snapshot
+        self._codes = dict(zip(ids, coder.code_batch([self._cases[i] for i in ids])))
+        self._regroup()
+        # rows and features are unchanged; keep any existing snapshot
 
-    def _level_keys(self, words: tuple[int, ...], t: int):
-        """Bucket keys at exactly Hamming distance t from the given words."""
-        if t == 0:
-            yield words
-            return
-        masks = self._bit_masks
-        if len(words) == 1:
-            w0 = words[0]
-            for bits in combinations(range(self.r), t):
-                x = w0
-                for m in bits:
-                    x ^= masks[m][1]
-                yield (x,)
-            return
-        for bits in combinations(range(self.r), t):
-            mut = list(words)
-            for m in bits:
-                wi, mask = masks[m]
-                mut[wi] ^= mask
-            yield tuple(mut)
+    def _level(self, key: int, t: int) -> list[np.ndarray]:
+        """Bucket arrays of the codes at exactly Hamming distance t."""
+        masks = self._masks.get(t)
+        if masks is None:  # no larger than the key list each probe builds
+            masks = [sum(1 << m for m in bits) for bits in combinations(range(self.r), t)]
+            self._masks[t] = masks
+        get = self._buckets.get
+        return [b for b in map(get, [key ^ m for m in masks]) if b is not None]
 
     def candidates_within(self, code: HashCode, radius: int) -> set[int]:
         """Ids of stored cases whose codes lie within the Hamming radius."""
         if radius < 0:
             raise ValueError("radius must be >= 0")
-        found: set[int] = set()
-        for t in range(radius + 1):
-            for key in self._level_keys(code.words, t):
-                bucket = self._buckets.get(key)
-                if bucket:
-                    found.update(bucket)
-        return found
+        key = _code_key(code.words)
+        parts = [b for t in range(radius + 1) for b in self._level(key, t)]
+        if not parts:
+            return set()
+        ids = (self._snapshot[0] if self._snapshot is not None
+               else np.fromiter(self._cases, dtype=np.int64, count=len(self._cases)))
+        return set(ids[np.concatenate(parts)].tolist())
 
     def _matrix(self):
         if self._snapshot is None:
-            ids = np.array(self.ids(), dtype=np.int64)
-            x = cases_to_csr([self._cases[int(i)] for i in ids], self.dim)
-            self._snapshot = (ids, x, np.asarray(x.multiply(x).sum(axis=1)).ravel())
+            ids = np.fromiter(self._cases, dtype=np.int64, count=len(self._cases))
+            self._snapshot = _snapshot(ids, cases_to_csr(list(self._cases.values()), self.dim))
         return self._snapshot
 
     def _distances_to(self, query: SparseCase, rows: np.ndarray) -> np.ndarray:
@@ -179,14 +219,21 @@ class HashIndex:
         ids, x, row_sq = self._matrix()
         q = np.zeros(self.dim)
         q[list(query.features.indices)] = query.features.values
-        sub = x[rows] if rows is not None else x
-        sq = (row_sq[rows] if rows is not None else row_sq) - 2.0 * (sub @ q) + q @ q
+        if rows is None:
+            sq = row_sq - 2.0 * (x @ q) + q @ q
+        else:
+            sq = row_sq[rows] - 2.0 * _row_dots(x, rows, q) + q @ q
         return np.sqrt(np.maximum(sq, 0.0))
 
     @staticmethod
     def _rank(ids: np.ndarray, dists: np.ndarray, top_n: int):
+        """The top_n by (distance, id): a partition keeps every candidate at
+        or below the top_n-th distance, so ties there still break by id."""
+        if len(dists) > top_n:
+            keep = np.flatnonzero(dists <= np.partition(dists, top_n - 1)[top_n - 1])
+            ids, dists = ids[keep], dists[keep]
         order = np.lexsort((ids, dists))[:top_n]
-        return [int(i) for i in ids[order]], dists[order]
+        return ids[order].tolist(), dists[order]
 
     def retrieve(self, query: SparseCase, code: HashCode, top_n: int,
                  max_radius: int = 2, max_candidates: int | None = None) -> RetrievalResult:
@@ -204,36 +251,37 @@ class HashIndex:
             raise ValueError("top_n must be >= 1")
 
         t0 = time.perf_counter_ns()
-        found: set[int] = set()
+        key = _code_key(code.words)
+        parts: list[np.ndarray] = []
+        n_found = 0
         radius_used = 0
         truncated = False
         for t in range(max_radius + 1):
             radius_used = t
-            for key in self._level_keys(code.words, t):
-                bucket = self._buckets.get(key)
-                if bucket:
-                    found.update(bucket)
-            if len(found) >= top_n:
+            level = self._level(key, t)
+            parts += level
+            n_found += sum(map(len, level))
+            if n_found >= top_n:
                 break
-            if max_candidates is not None and len(found) >= max_candidates:
+            if max_candidates is not None and n_found >= max_candidates:
                 truncated = True
                 break
+        # buckets are disjoint, so the rows are distinct
+        rows = np.concatenate(parts) if parts else None
         gather_us = (time.perf_counter_ns() - t0) / 1e3
 
-        if not found:
+        if rows is None:
             return RetrievalResult(ids=[], distances=np.empty(0), n_candidates=0,
                                    radius_used=radius_used, truncated=truncated,
                                    gather_us=gather_us)
 
         t1 = time.perf_counter_ns()
         snap_ids, _, _ = self._matrix()
-        cand = np.array(sorted(found), dtype=np.int64)
-        rows = np.searchsorted(snap_ids, cand)
         dists = self._distances_to(query, rows)
-        ranked_ids, ranked_d = self._rank(cand, dists, top_n)
+        ranked_ids, ranked_d = self._rank(snap_ids[rows], dists, top_n)
         rerank_us = (time.perf_counter_ns() - t1) / 1e3
         return RetrievalResult(ids=ranked_ids, distances=ranked_d,
-                               n_candidates=len(found), radius_used=radius_used,
+                               n_candidates=n_found, radius_used=radius_used,
                                truncated=truncated, gather_us=gather_us,
                                rerank_us=rerank_us)
 
@@ -255,25 +303,30 @@ class HashIndex:
                                rerank_us=rerank_us)
 
     def save(self, path) -> None:
-        """Binary dump: header, id/code/label arrays, then packed features."""
-        ids = np.array(self.ids(), dtype=np.int64)
-        n_words = (self.r + 63) // 64
-        words = np.array([self._codes[int(i)].words for i in ids],
-                         dtype=np.uint64).reshape(len(ids), n_words)
-        labels = np.array([self._cases[int(i)].label for i in ids], dtype=np.int64)
-        nnz = np.array([self._cases[int(i)].features.nnz for i in ids], dtype=np.int64)
+        """Binary dump: header, id/code/label/nnz arrays, then each case's
+        feature indices followed by its values, in ascending id order."""
+        ids = self.ids()
+        cases = [self._cases[i] for i in ids]
+        n = len(ids)
+        words = np.array([self._codes[i].words for i in ids],
+                         dtype="<u8").reshape(n, (self.r + 63) // 64)
+        labels = np.fromiter((c.label for c in cases), dtype="<i8", count=n)
+        nnz = np.fromiter((c.features.nnz for c in cases), dtype="<i8", count=n)
+        total = int(nnz.sum())
+        feats = np.empty(2 * total, dtype="<i8")
+        mask = _feature_mask(nnz)
+        feats[mask] = np.fromiter(chain.from_iterable(c.features.indices for c in cases),
+                                  dtype="<i8", count=total)
+        feats[~mask] = np.fromiter(chain.from_iterable(c.features.values for c in cases),
+                                   dtype="<f8", count=total).view("<i8")
         with open(str(path), "wb") as fh:
             fh.write(INDEX_MAGIC)
-            np.array([CHECKPOINT_VERSION, self.r, self.dim, len(ids)],
-                     dtype="<i8").tofile(fh)
-            ids.astype("<i8").tofile(fh)
-            words.astype("<u8").tofile(fh)
-            labels.astype("<i8").tofile(fh)
-            nnz.astype("<i8").tofile(fh)
-            for i in ids:
-                feats = self._cases[int(i)].features
-                np.asarray(feats.indices, dtype="<i8").tofile(fh)
-                np.asarray(feats.values, dtype="<f8").tofile(fh)
+            np.array([CHECKPOINT_VERSION, self.r, self.dim, n], dtype="<i8").tofile(fh)
+            np.array(ids, dtype="<i8").tofile(fh)
+            words.tofile(fh)
+            labels.tofile(fh)
+            nnz.tofile(fh)
+            feats.tofile(fh)
 
     @classmethod
     def load(cls, path) -> "HashIndex":
@@ -288,32 +341,75 @@ class HashIndex:
             if r < 1 or dim < 1 or n < 0:
                 raise DataFormatError(f"corrupt index header: r={r} dim={dim} n={n}")
             n_words = (r + 63) // 64
-            ids = _read(fh, "<i8", n)
+            ids = _read(fh, "<i8", n).astype(np.int64)
             words = _read(fh, "<u8", n * n_words).reshape(n, n_words)
-            labels = _read(fh, "<i8", n)
-            nnz = _read(fh, "<i8", n)
-            idx = cls(r=r, dim=dim)
-            for k in range(n):
-                f_idx = _read(fh, "<i8", int(nnz[k]))
-                f_val = _read(fh, "<f8", int(nnz[k]))
-                case = SparseCase(
-                    id=int(ids[k]),
-                    features=SparseVector(dim=dim,
-                                          indices=tuple(int(t) for t in f_idx),
-                                          values=tuple(float(v) for v in f_val)),
-                    label=int(labels[k]),
-                )
-                code = HashCode(r=r, words=tuple(int(w) for w in words[k]))
-                idx.insert(case, code)
+            labels = _read(fh, "<i8", n).tolist()
+            nnz = _read(fh, "<i8", n).astype(np.int64)
+            if (nnz < 0).any():
+                raise DataFormatError(f"corrupt index file: negative count {nnz.min()}")
+            feats = _read(fh, "<i8", 2 * sum(nnz.tolist()))
+        mask = _feature_mask(nnz)
+        indices = feats[mask].astype(np.int64)
+        values = feats[~mask].view("<f8").astype(np.float64)
+        del feats, mask
+
+        idx = cls(r=r, dim=dim)
+        indptr = np.r_[0, np.cumsum(nnz)]
+        bounds = indptr.tolist()
+        ind_list, val_list = indices.tolist(), values.tolist()
+        id_list = ids.tolist()
+        idx._buckets = _group(words)
+        row_codes = [None] * n
+        try:  # the constructors check each case's features and each code
+            for k, cid in enumerate(id_list):
+                a, b = bounds[k], bounds[k + 1]
+                idx._cases[cid] = SparseCase(
+                    id=cid,
+                    features=SparseVector(dim=dim, indices=tuple(ind_list[a:b]),
+                                          values=tuple(val_list[a:b])),
+                    label=labels[k])
+            for rows in idx._buckets.values():  # one code object per bucket
+                code = HashCode(r=r, words=tuple(int(w) for w in words[rows[0]]))
+                for row in rows.tolist():
+                    row_codes[row] = code
+        except ValueError as err:
+            raise DataFormatError(f"corrupt index file: {err}") from None
+        if len(idx._cases) != n:
+            raise DataFormatError("corrupt index file: duplicate case ids")
+        idx._codes = dict(zip(id_list, row_codes))
+        idx._snapshot = _snapshot(ids, sp.csr_matrix((values, indices, indptr),
+                                                     shape=(n, dim)))
         return idx
+
+
+def _row_dots(x, rows: np.ndarray, q: np.ndarray) -> np.ndarray:
+    """x[rows] @ q, bit for bit: the same two scipy kernels, minus the index
+    checks and the matrix construction that x[rows] adds per call, which
+    cost about as much as the kernels at a few thousand rows."""
+    ip = x.indptr
+    rows = rows.astype(ip.dtype)
+    sub_ip = np.zeros(len(rows) + 1, dtype=ip.dtype)
+    np.cumsum(ip[rows + 1] - ip[rows], out=sub_ip[1:])
+    sub_ix = np.empty(sub_ip[-1], dtype=ip.dtype)
+    sub_x = np.empty(sub_ip[-1], dtype=x.data.dtype)
+    csr_row_index(len(rows), rows, ip, x.indices.astype(ip.dtype, copy=False), x.data,
+                  sub_ix, sub_x)
+    out = np.zeros(len(rows))
+    csr_matvec(len(rows), x.shape[1], sub_ip, sub_ix, sub_x, q, out)
+    return out
+
+
+def _snapshot(ids: np.ndarray, x):
+    return ids, x, np.asarray(x.multiply(x).sum(axis=1)).ravel()
 
 
 def _read(fh, dtype: str, count: int) -> np.ndarray:
     """Exactly count items from an index file, else DataFormatError."""
     if count < 0:
         raise DataFormatError(f"corrupt index file: negative count {count}")
-    data = np.fromfile(fh, dtype=dtype, count=count)
-    if len(data) != count:
+    itemsize = np.dtype(dtype).itemsize
+    left = os.fstat(fh.fileno()).st_size - fh.tell()
+    if count * itemsize > left:
         raise DataFormatError(
-            f"truncated index file: expected {count} {dtype} items, got {len(data)}")
-    return data
+            f"truncated index file: expected {count} {dtype} items, got {left // itemsize}")
+    return np.fromfile(fh, dtype=dtype, count=count)

@@ -166,12 +166,16 @@ class HashCode:
         return HashCode(r=self.r, words=tuple(words))
 
 
-def inner_product(a: HashCode, b: HashCode) -> int:
-    """<a, b> over the +-1 components; equals r - 2 * hamming distance."""
+def hamming_distance(a: HashCode, b: HashCode) -> int:
+    """Number of differing bits; equals (r - <a, b>) / 2 on sign vectors."""
     if a.r != b.r:
         raise ValueError(f"code length mismatch: {a.r} vs {b.r}")
-    differing = sum((wa ^ wb).bit_count() for wa, wb in zip(a.words, b.words))
-    return a.r - 2 * differing
+    return sum((wa ^ wb).bit_count() for wa, wb in zip(a.words, b.words))
+
+
+def inner_product(a: HashCode, b: HashCode) -> int:
+    """<a, b> over the +-1 components; equals r - 2 * hamming distance."""
+    return a.r - 2 * hamming_distance(a, b)
 
 
 def squash(x):

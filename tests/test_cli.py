@@ -137,7 +137,12 @@ class TestIndexAndQuery:
             capsys, "index", "--data", data_file, "--hash", "lsh", "--bits", "8",
             "--out", idx_path)
         assert code == 0
-        assert json.loads(stdout)["n_cases"] == 80
+        summary = json.loads(stdout)
+        assert summary["n_cases"] == 80
+        assert 1 <= summary["largest_bucket"] <= 80
+        assert summary["n_buckets"] >= 80 / summary["largest_bucket"]
+        assert len(summary["bit_balance"]) == summary["bits"] == 8
+        assert all(0.0 <= b <= 1.0 for b in summary["bit_balance"])
 
         queries = two_class_fixture(n=5, seed=7, id_start=500)
         qp = tmp_path / "q.txt"

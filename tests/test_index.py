@@ -1,3 +1,4 @@
+from collections import Counter
 from math import comb
 
 import numpy as np
@@ -11,7 +12,9 @@ from casehash import (
     hamming_ball,
     hamming_distance,
 )
+from casehash import index as index_module
 from casehash.network import inner_product
+from casehash.sparse import cases_to_csr
 
 from conftest import make_case, random_cases
 
@@ -96,6 +99,13 @@ class TestIndexMutation:
         assert len(idx) == 29
         with pytest.raises(KeyError):
             idx.remove(7)
+
+    def test_remove_every_case(self, rng):
+        idx, cases, planes = small_index(rng, n=5)
+        for case in cases:
+            idx.remove(case.id)
+        assert len(idx) == 0 and idx.n_buckets == 0
+        assert idx.retrieve(cases[0], planes.code(cases[0]), top_n=3).ids == []
 
     def test_remove_then_retrieve_consistent(self, rng):
         idx, cases, planes = small_index(rng)
@@ -198,7 +208,31 @@ class TestRetrieve:
             assert dist == pytest.approx(want, abs=1e-9)
 
 
+def reference_save(idx, path):
+    """The index file written case by case, as the layout documents it."""
+    ids = idx.ids()
+    with open(path, "wb") as fh:
+        fh.write(b"CHIX")
+        np.array([1, idx.r, idx.dim, len(ids)], dtype="<i8").tofile(fh)
+        np.array(ids, dtype="<i8").tofile(fh)
+        for i in ids:
+            np.array(idx.code(i).words, dtype="<u8").tofile(fh)
+        np.array([idx.case(i).label for i in ids], dtype="<i8").tofile(fh)
+        np.array([idx.case(i).features.nnz for i in ids], dtype="<i8").tofile(fh)
+        for i in ids:
+            np.array(idx.case(i).features.indices, dtype="<i8").tofile(fh)
+            np.array(idx.case(i).features.values, dtype="<f8").tofile(fh)
+
+
 class TestPersistence:
+    @pytest.mark.parametrize("r", [8, 70])
+    def test_save_matches_case_by_case_layout(self, rng, tmp_path, r):
+        cases = random_cases(rng, 30, dim=10, nnz=4) + [make_case(10, [], case_id=99)]
+        idx = HashIndex.build(cases[::-1], LshPlanes.sample(r, 10, seed=2))
+        idx.save(tmp_path / "block.idx")
+        reference_save(idx, tmp_path / "loop.idx")
+        assert (tmp_path / "block.idx").read_bytes() == (tmp_path / "loop.idx").read_bytes()
+
     def test_round_trip(self, rng, tmp_path):
         idx, cases, planes = small_index(rng)
         p = tmp_path / "cases.idx"
@@ -229,3 +263,85 @@ class TestPersistence:
             p.write_bytes(data[:cut])
             with pytest.raises(DataFormatError, match="truncated"):
                 HashIndex.load(p)
+
+
+def two_case_file(tmp_path):
+    """A 2-case, r=8, dim=4 index file and the byte offsets of its fields."""
+    cases = [make_case(4, [(0, 1.0), (2, 2.0)], label=1, case_id=0),
+             make_case(4, [(1, 3.0)], label=0, case_id=1)]
+    idx = HashIndex(r=8, dim=4)
+    for case in cases:
+        idx.insert(case, HashCode(r=8, words=(case.id + 5,)))
+    path = tmp_path / "two.idx"
+    idx.save(path)
+    # magic, 4 header words, then 2 ids, 2 code words, 2 labels, 2 counts
+    head = 4 + 8 * 4
+    offsets = {"id1": head + 8, "word0": head + 16, "nnz0": head + 48,
+               "idx0": head + 64, "idx1": head + 72, "val0": head + 80}
+    return path, offsets
+
+
+def patch(path, offset, value, dtype="<i8"):
+    data = bytearray(path.read_bytes())
+    data[offset:offset + 8] = np.array([value], dtype=dtype).tobytes()
+    path.write_bytes(bytes(data))
+
+
+class TestLoadChecks:
+    @pytest.mark.parametrize("field, value, dtype, match", [
+        ("idx1", 4, "<i8", "out of range"),
+        ("idx0", -1, "<i8", "ascending|out of range"),
+        ("idx1", 0, "<i8", "ascending"),
+        ("val0", 0.0, "<f8", "nonzero"),
+        ("id1", 0, "<i8", "duplicate"),
+        ("word0", 1 << 9, "<u8", "high bits"),
+        ("nnz0", -1, "<i8", "negative count"),
+        ("nnz0", 1 << 40, "<i8", "truncated"),
+    ])
+    def test_corrupt_file_rejected(self, tmp_path, field, value, dtype, match):
+        path, offsets = two_case_file(tmp_path)
+        HashIndex.load(path)  # intact file loads
+        patch(path, offsets[field], value, dtype)
+        with pytest.raises(DataFormatError, match=match):
+            HashIndex.load(path)
+
+    def test_cases_without_features_round_trip(self, tmp_path):
+        cases = [make_case(4, [], case_id=3), make_case(4, [(1, 2.0)], case_id=5),
+                 make_case(4, [], case_id=7)]
+        idx = HashIndex.build(cases, LshPlanes.sample(8, 4, seed=1))
+        path = tmp_path / "empty-rows.idx"
+        idx.save(path)
+        back = HashIndex.load(path)
+        assert [back.case(c.id) for c in cases] == cases
+        q = make_case(4, [(1, 2.0)], case_id=9)
+        assert back.linear_scan(q, 3).ids == [5, 3, 7]
+
+
+class TestStats:
+    @pytest.mark.parametrize("r", [8, 70])
+    def test_match_stored_codes(self, rng, r):
+        idx, cases, _ = small_index(rng, n=60, r=r)
+        idx.remove(cases[4].id)
+        extra = make_case(10, [(2, 1.0)], case_id=500)
+        idx.insert(extra, idx.code(cases[0].id))
+        codes = [idx.code(cid) for cid in idx.ids()]
+        counts = Counter(code.words for code in codes)
+        stats = idx.stats()
+        assert stats["n_buckets"] == idx.n_buckets == len(counts)
+        assert stats["largest_bucket"] == max(counts.values())
+        signs = np.array([code.to_signs() for code in codes])
+        assert stats["bit_balance"] == (signs > 0).mean(axis=0).tolist()
+
+    def test_empty_index(self):
+        assert HashIndex(r=4, dim=3).stats() == {
+            "n_buckets": 0, "largest_bucket": 0, "bit_balance": [0.0] * 4}
+
+
+class TestRowDots:
+    def test_equal_scipy_row_indexing(self, rng):
+        # zero-feature rows, repeated rows and any row order
+        cases = random_cases(rng, 40, dim=12, nnz=5) + [make_case(12, [], case_id=40)]
+        x = cases_to_csr(cases, 12)
+        q = rng.normal(size=12)
+        for rows in (np.arange(41), rng.permutation(41)[:17], np.array([40, 3, 3, 0])):
+            assert np.array_equal(index_module._row_dots(x, rows, q), x[rows] @ q)
