@@ -27,7 +27,6 @@ from .network import (
     HashCode,
     Hyperparams,
     NetworkParams,
-    forward,
     forward_batch,
     hamming_distance,
     hash_case,
@@ -74,7 +73,7 @@ __all__ = [
     "SparseVector", "Suggestion", "TrainResult", "accuracy",
     "adaptive_loss", "ap_at_n", "auc_binary", "auc_multiclass",
     "batch_objective", "bench", "clustered_fixture", "evaluate",
-    "finite_diff_grad", "fit_ranges", "forward", "forward_batch", "grad",
+    "finite_diff_grad", "fit_ranges", "forward_batch", "grad",
     "hamming_ball", "hamming_distance", "hash_case", "init_params", "kfold",
     "load_checkpoint", "load_csv", "load_sparse_text", "map_at_n",
     "normalize", "pair_loss", "prec_at_n", "sample_pairs",

@@ -15,7 +15,7 @@ import numpy as np
 from scipy import sparse as sp
 
 from .network import HashCode, pack_rows
-from .sparse import SparseCase, cases_to_csr
+from .sparse import DataFormatError, SparseCase, cases_to_csr
 
 
 @dataclass
@@ -41,7 +41,8 @@ class LshPlanes:
         """Raw projections <x, plane_k> for each of the r planes."""
         feats = case.features
         if feats.dim != self.dim:
-            raise ValueError(f"case dim {feats.dim} does not match planes dim {self.dim}")
+            raise DataFormatError(
+                f"case dim {feats.dim} does not match planes dim {self.dim}")
         idx = np.asarray(feats.indices, dtype=np.int64)
         val = np.asarray(feats.values)
         if idx.size == 0:

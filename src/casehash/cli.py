@@ -175,26 +175,32 @@ def _make_coder(args, cfg: RunConfig, cases):
             return load_checkpoint(args.model, cfg.hyper)
         except OSError as exc:
             raise ConfigError(f"cannot read model file: {exc}") from None
+        except DataFormatError:
+            raise
+        except ValueError as exc:  # the file's structure disagrees with cfg
+            raise ConfigError(str(exc)) from None
     return None
 
 
+def _train(cases, cfg: RunConfig, seed: int):
+    return train(cases, cfg.hyper, epochs=cfg.epochs, seed=seed,
+                 batch_size=cfg.batch_size, optimizer=cfg.optimizer,
+                 lr=cfg.lr, neg_ratio=cfg.neg_ratio, patience=cfg.patience,
+                 min_delta=cfg.min_delta)
+
+
 def _train_coder(train_cases, cfg: RunConfig, seed: int):
-    result = train(train_cases, cfg.hyper, epochs=cfg.epochs, seed=seed,
-                   batch_size=cfg.batch_size, optimizer=cfg.optimizer,
-                   lr=cfg.lr, neg_ratio=cfg.neg_ratio, patience=cfg.patience,
-                   min_delta=cfg.min_delta)
+    """Trained parameters; divergence raises DivergenceError."""
+    result = _train(train_cases, cfg, seed)
     if result.diverged:
         raise DivergenceError("training diverged")
-    return result
+    return result.params
 
 
 def cmd_train(args, cfg: RunConfig) -> int:
     cases, schema = load_dataset(args)
     cases = _normalized(schema, cases, cases)
-    result = train(cases, cfg.hyper, epochs=cfg.epochs, seed=args.seed,
-                   batch_size=cfg.batch_size, optimizer=cfg.optimizer,
-                   lr=cfg.lr, neg_ratio=cfg.neg_ratio, patience=cfg.patience,
-                   min_delta=cfg.min_delta)
+    result = _train(cases, cfg, args.seed)  # saved and reported even if diverged
     out = args.out or "model.chn"
     save_checkpoint(result.params, out)
     write_train_log(result.history, csv_path=out + ".log.csv",
@@ -230,7 +236,7 @@ def cmd_eval(args, cfg: RunConfig) -> int:
         train_cases, test_cases = _normalized(schema, train_cases,
                                               train_cases, test_cases)
         if fold_coder is None:
-            fold_coder = _train_coder(train_cases, cfg, args.seed + k).params
+            fold_coder = _train_coder(train_cases, cfg, args.seed + k)
         idx = HashIndex.build(train_cases, fold_coder)
         reports.append(evaluate(idx, fold_coder, test_cases,
                                 top_n=cfg.hyper.top_n, max_radius=cfg.max_radius))
@@ -269,7 +275,7 @@ def cmd_stream(args, cfg: RunConfig) -> int:
 
     coder = _make_coder(args, cfg, init)
     if coder is None:
-        coder = _train_coder(init, cfg, args.seed).params
+        coder = _train_coder(init, cfg, args.seed)
     idx = HashIndex.build(init, coder)
     engine = CbrEngine(idx, coder, top_n=cfg.hyper.top_n,
                        max_radius=cfg.max_radius,
@@ -312,7 +318,7 @@ def cmd_bench(args, cfg: RunConfig) -> int:
 
     coder = _make_coder(args, cfg, base)
     if coder is None:
-        coder = _train_coder(base, cfg, args.seed).params
+        coder = _train_coder(base, cfg, args.seed)
     idx = HashIndex.build(base, coder)
     result = bench(idx, coder, queries, top_n=cfg.hyper.top_n,
                    max_radius=cfg.max_radius)

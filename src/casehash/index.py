@@ -27,10 +27,11 @@ from scipy import sparse as sp
 # the compiled kernels behind scipy's own x[rows] @ q
 from scipy.sparse._sparsetools import csr_matvec, csr_row_index
 
-from .network import CHECKPOINT_VERSION, HashCode
+from .network import HashCode, unpack_words
 from .sparse import DataFormatError, SparseCase, SparseVector, cases_to_csr
 
 INDEX_MAGIC = b"CHIX"
+INDEX_VERSION = 1
 
 
 def hamming_ball(code: HashCode, radius: int):
@@ -128,8 +129,7 @@ class HashIndex:
         n_words = (self.r + 63) // 64
         keys = np.array([[(k >> (64 * i)) & 0xFFFFFFFFFFFFFFFF for i in range(n_words)]
                          for k in self._buckets], dtype="<u8").reshape(len(sizes), n_words)
-        bits = np.unpackbits(keys.view(np.uint8), axis=1, bitorder="little")[:, :self.r]
-        balance = sizes @ bits / max(len(self), 1)
+        balance = sizes @ unpack_words(keys, self.r) / max(len(self), 1)
         return {"n_buckets": len(sizes), "largest_bucket": int(sizes.max(initial=0)),
                 "bit_balance": [float(b) for b in balance]}
 
@@ -321,7 +321,7 @@ class HashIndex:
                                    dtype="<f8", count=total).view("<i8")
         with open(str(path), "wb") as fh:
             fh.write(INDEX_MAGIC)
-            np.array([CHECKPOINT_VERSION, self.r, self.dim, n], dtype="<i8").tofile(fh)
+            np.array([INDEX_VERSION, self.r, self.dim, n], dtype="<i8").tofile(fh)
             np.array(ids, dtype="<i8").tofile(fh)
             words.tofile(fh)
             labels.tofile(fh)
@@ -336,7 +336,7 @@ class HashIndex:
             if fh.read(4) != INDEX_MAGIC:
                 raise DataFormatError("not an index file")
             version, r, dim, n = (int(x) for x in _read(fh, "<i8", 4))
-            if version != CHECKPOINT_VERSION:
+            if version != INDEX_VERSION:
                 raise DataFormatError(f"unsupported index version {version}")
             if r < 1 or dim < 1 or n < 0:
                 raise DataFormatError(f"corrupt index header: r={r} dim={dim} n={n}")

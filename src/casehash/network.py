@@ -8,21 +8,31 @@ computed with the sum-of-squares identity
     z_k = 1/2 * sum_m [ (sum_p e_mp)^2 - sum_p e_mp^2 ] * v_mk
 
 which touches only nonzero features, so the cost is O(d_n * k_w * k_v) for a
-case with d_n active features. A quadratic-cost pairwise evaluation is kept as
-a test oracle (interact_bruteforce).
+case with d_n active features.
 
-forward/hash_case are pure reads of the parameters and safe to run
-concurrently; training mutates parameters under exclusive access.
+There is one head: interaction() turns the running sums S1 and S2 into z,
+and fc_stack() runs the FC layers, yielding each layer's (pre-activation,
+output) so training can keep them for its backward pass while coding keeps
+only the last (relaxed_output). Only the step that makes S1 and S2 differs:
+a block of cases takes it from a CSR matrix (block_sums), a single case
+gathers its active columns (case_sums). Codes are packed by one
+np.packbits body (pack_rows) into little-endian 64-bit words and unpacked by
+its inverse (unpack_words).
+
+forward_batch and hash_case are pure reads of the parameters and safe to
+run concurrently; training mutates parameters under exclusive access.
 """
 
 from __future__ import annotations
 
+import math
+import os
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .sparse import SparseCase
+from .sparse import DataFormatError, SparseCase
 
 CHECKPOINT_MAGIC = b"CHNV"
 CHECKPOINT_VERSION = 1
@@ -139,22 +149,11 @@ class HashCode:
     @staticmethod
     def from_signs(values) -> "HashCode":
         """Pack a real vector: component m is +1 iff values[m] >= 0."""
-        values = np.asarray(values)
-        r = values.shape[0]
-        words = []
-        for start in range(0, r, _WORD_BITS):
-            word = 0
-            for m in range(start, min(start + _WORD_BITS, r)):
-                if values[m] >= 0:
-                    word |= 1 << (m - start)
-            words.append(word)
-        return HashCode(r=r, words=tuple(words))
+        return pack_rows(values)[0]
 
     def to_signs(self) -> np.ndarray:
-        out = np.empty(self.r, dtype=np.int8)
-        for m in range(self.r):
-            out[m] = 1 if (self.words[m // _WORD_BITS] >> (m % _WORD_BITS)) & 1 else -1
-        return out
+        bits = unpack_words([self.words], self.r)[0]
+        return bits.astype(np.int8) * 2 - 1
 
     def bit(self, m: int) -> int:
         return (self.words[m // _WORD_BITS] >> (m % _WORD_BITS)) & 1
@@ -192,143 +191,97 @@ def relu(x):
     return np.maximum(x, 0.0)
 
 
-@dataclass
-class ForwardTrace:
-    """Everything the backward pass needs from one case's forward run.
+def case_sums(case: SparseCase, params: NetworkParams):
+    """Running sums S1 = sum_j e_j and S2 = sum_j e_j^2 of one case's
+    embeddings e_j = x_j * w_p[:, j], shape (k_w,) each.
 
-    Holds the active-feature embeddings with the per-row running sums of the
-    interaction identity (sum e and sum e^2), the interaction output, and each
-    FC layer's pre-activation and output. outputs[-1] is the relaxed code.
+    The one-row form of block_sums: it gathers the active columns of w_p
+    (plus the constant slot when first_order is set) instead of building a
+    CSR matrix, which costs several times the whole network on one case.
+    Zero-valued features are never stored, so they add nothing.
     """
-
-    active_indices: np.ndarray   # active slots, constant slot included if used
-    active_values: np.ndarray
-    embeddings: np.ndarray       # (k_w, nnz), column t = value_t * w_p[:, slot_t]
-    sum_e: np.ndarray            # (k_w,)
-    sum_e_sq: np.ndarray         # (k_w,)
-    z: np.ndarray                # (k_v,) interaction output
-    pre: list = field(default_factory=list)
-    outputs: list = field(default_factory=list)
-
-    @property
-    def output(self) -> np.ndarray:
-        return self.outputs[-1]
-
-
-def _active_entries(case: SparseCase, params: NetworkParams):
-    idx = np.fromiter(case.features.indices, dtype=np.int64, count=case.features.nnz)
-    val = np.fromiter(case.features.values, dtype=np.float64, count=case.features.nnz)
+    feats = case.features
+    if feats.dim != params.d:
+        raise DataFormatError(f"case dim {feats.dim} != network dim {params.d}")
+    idx = np.fromiter(feats.indices, dtype=np.int64, count=feats.nnz)
+    val = np.fromiter(feats.values, dtype=np.float64, count=feats.nnz)
     if params.hyper.first_order:
         idx = np.append(idx, params.d)
         val = np.append(val, 1.0)
-    return idx, val
+    emb = params.w_p[:, idx] * val
+    return emb.sum(axis=1), np.square(emb).sum(axis=1)
 
 
-def embed_features(case: SparseCase, w_p: np.ndarray):
-    """Per-feature embeddings e_j = x_j * w_p[:, j] for the nonzero features.
-
-    Zero-valued features emit nothing (their embedding is the zero vector and
-    is absorbed by every downstream sum). Returns (active_indices, E) with E of
-    shape (k_w, nnz).
-    """
-    if case.features.dim != w_p.shape[1]:
-        raise ValueError(
-            f"case dim {case.features.dim} != embedding columns {w_p.shape[1]}"
-        )
-    idx = np.fromiter(case.features.indices, dtype=np.int64, count=case.features.nnz)
-    val = np.fromiter(case.features.values, dtype=np.float64, count=case.features.nnz)
-    return idx, w_p[:, idx] * val
+def block_sums(x, x_sq, w_p: np.ndarray):
+    """S1 = x w_p^T and S2 = x_sq (w_p^2)^T for a CSR block x of cases
+    (a ones column appended for first_order) and its elementwise square."""
+    return x @ w_p.T, x_sq @ (w_p ** 2).T
 
 
-def interact(embeddings: np.ndarray, v: np.ndarray) -> np.ndarray:
+def interaction(s1, s2, v: np.ndarray) -> np.ndarray:
     """Sum of pairwise embedding interactions per view, in linear time.
 
-    Equals interact_bruteforce via the identity
+    From the running sums of case_sums or block_sums (one row per case),
     sum_{p<q} <e_p, e_q * v_k> = 1/2 sum_m [(sum_p e_mp)^2 - sum_p e_mp^2] v_mk.
     """
-    s1 = embeddings.sum(axis=1)
-    s2 = np.square(embeddings).sum(axis=1)
-    return 0.5 * (v.T @ (np.square(s1) - s2))
+    return 0.5 * ((np.square(s1) - s2) @ v)
 
 
-def interact_bruteforce(embeddings: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """Explicit double loop over unordered feature pairs. Test oracle only."""
-    k_v = v.shape[1]
-    nnz = embeddings.shape[1]
-    z = np.zeros(k_v)
-    for k in range(k_v):
-        for p in range(nnz):
-            for q in range(p + 1, nnz):
-                z[k] += embeddings[:, p] @ (embeddings[:, q] * v[:, k])
-    return z
-
-
-def forward(case: SparseCase, params: NetworkParams) -> ForwardTrace:
-    """Run the full network on one case, recording the backward-pass trace.
+def fc_stack(z: np.ndarray, params: NetworkParams):
+    """Yield each FC layer's (pre-activation, output) in turn, from the
+    interaction output z.
 
     Hidden layers use a rectifier; the last layer uses the squashing
-    activation, so outputs[-1] lies componentwise in (-1, 1).
+    activation, so its output lies componentwise in (-1, 1). Raises
+    DivergenceError after the last layer if its output is not finite.
     """
-    if case.features.dim != params.d:
-        raise ValueError(f"case dim {case.features.dim} != network dim {params.d}")
-    idx, val = _active_entries(case, params)
-    emb = params.w_p[:, idx] * val
-    s1 = emb.sum(axis=1) if emb.size else np.zeros(params.w_p.shape[0])
-    s2 = np.square(emb).sum(axis=1) if emb.size else np.zeros(params.w_p.shape[0])
-    z = 0.5 * (params.v.T @ (np.square(s1) - s2))
-
-    trace = ForwardTrace(
-        active_indices=idx, active_values=val,
-        embeddings=emb, sum_e=s1, sum_e_sq=s2, z=z,
-    )
     h = z
-    for layer in params.layers:
-        pre = layer.w @ h + layer.b
-        h = relu(pre) if layer.activation == "relu" else squash(pre)
-        trace.pre.append(pre)
-        trace.outputs.append(h)
-    if not np.all(np.isfinite(trace.output)):
-        raise DivergenceError("non-finite network output")
-    return trace
-
-
-def forward_batch(cases, params: NetworkParams) -> np.ndarray:
-    """Relaxed outputs for many cases at once, shape (n, r).
-
-    Matches forward() case by case up to float rounding from the batched
-    matrix products; used for bulk code generation.
-    """
-    from .sparse import cases_to_csr
-
-    x = cases_to_csr(cases, params.d, extra_ones_column=params.hyper.first_order)
-    s1 = x @ params.w_p.T               # (n, k_w)
-    s2 = x.multiply(x) @ (params.w_p ** 2).T
-    h = 0.5 * ((np.square(s1) - s2) @ params.v)
     for layer in params.layers:
         pre = h @ layer.w.T + layer.b
         h = relu(pre) if layer.activation == "relu" else squash(pre)
+        yield pre, h
     if not np.all(np.isfinite(h)):
         raise DivergenceError("non-finite network output")
-    return h
 
 
-def pack_rows(outputs: np.ndarray) -> list[HashCode]:
-    """Binarize a (n, r) output block into packed codes, sign(0) = +1."""
-    outputs = np.atleast_2d(outputs)
-    n, r = outputs.shape
-    bits = (outputs >= 0).astype(np.uint64)
-    n_words = (r + _WORD_BITS - 1) // _WORD_BITS
-    words = np.zeros((n, n_words), dtype=np.uint64)
-    for w in range(n_words):
-        chunk = bits[:, w * _WORD_BITS:(w + 1) * _WORD_BITS]
-        weights = (np.uint64(1) << np.arange(chunk.shape[1], dtype=np.uint64))
-        words[:, w] = (chunk * weights).sum(axis=1, dtype=np.uint64)
-    return [HashCode(r=r, words=tuple(int(x) for x in words[i])) for i in range(n)]
+def relaxed_output(z: np.ndarray, params: NetworkParams) -> np.ndarray:
+    """The last layer's output for interaction output z; each layer's
+    output is dropped once the next layer has used it."""
+    for _, out in fc_stack(z, params):
+        pass
+    return out
+
+
+def forward_batch(cases, params: NetworkParams) -> np.ndarray:
+    """Relaxed outputs for many cases at once, shape (n, r)."""
+    from .sparse import cases_to_csr
+
+    x = cases_to_csr(cases, params.d, extra_ones_column=params.hyper.first_order)
+    return relaxed_output(interaction(*block_sums(x, x.multiply(x), params.w_p),
+                                      params.v), params)
 
 
 def hash_case(case: SparseCase, params: NetworkParams) -> HashCode:
     """Binarize the network output: bit m is -1 iff output m < 0, else +1."""
-    return HashCode.from_signs(forward(case, params).output)
+    return HashCode.from_signs(
+        relaxed_output(interaction(*case_sums(case, params), params.v), params))
+
+
+def unpack_words(words, r: int) -> np.ndarray:
+    """The (n, r) 0/1 bits of (n, words) packed codes; inverse of pack_rows."""
+    words = np.ascontiguousarray(words, dtype="<u8")
+    return np.unpackbits(words.view(np.uint8), axis=1, count=r, bitorder="little")
+
+
+def pack_rows(outputs) -> list[HashCode]:
+    """Binarize a (n, r) output block into packed codes: bit m of a row is
+    set iff its component m is >= 0, so sign(0) = +1."""
+    outputs = np.atleast_2d(outputs)
+    n, r = outputs.shape
+    bits = np.zeros((n, -(-r // _WORD_BITS) * _WORD_BITS), dtype=bool)
+    np.greater_equal(outputs, 0, out=bits[:, :r])
+    words = np.packbits(bits, axis=1, bitorder="little").view("<u8")
+    return [HashCode(r=r, words=row) for row in zip(*words.T.tolist())]
 
 
 def init_params(hyper: Hyperparams, d: int, seed: int) -> NetworkParams:
@@ -379,29 +332,42 @@ def load_checkpoint(path, hyper: Hyperparams | None = None) -> NetworkParams:
 
     Structural fields come from the header; loss/lifecycle hyperparameters
     (alpha, lambda_, beta, n_u, top_n) are taken from the supplied hyper when
-    given (its structural fields must agree) and default otherwise.
+    given and default otherwise. A file that is not a whole checkpoint of
+    this version raises DataFormatError; a supplied hyper whose structural
+    fields disagree with the file raises ValueError.
     """
     with open(str(path), "rb") as fh:
+        size = os.fstat(fh.fileno()).st_size
+
+        def read(n_bytes: int) -> bytes:
+            if n_bytes > size - fh.tell():
+                raise DataFormatError(f"{path}: truncated checkpoint file")
+            return fh.read(n_bytes)
+
         if fh.read(4) != CHECKPOINT_MAGIC:
-            raise ValueError(f"{path}: not a checkpoint file")
-        version, d, k_w, k_v, r, l = struct.unpack("<IIIIII", fh.read(24))
+            raise DataFormatError(f"{path}: not a checkpoint file")
+        version, d, k_w, k_v, r, l = struct.unpack("<IIIIII", read(24))
         if version != CHECKPOINT_VERSION:
-            raise ValueError(f"{path}: unsupported checkpoint version {version}")
-        sizes = list(struct.unpack(f"<{l + 1}I", fh.read(4 * (l + 1))))
-        (flags,) = struct.unpack("<I", fh.read(4))
+            raise DataFormatError(f"{path}: unsupported checkpoint version {version}")
+        sizes = list(struct.unpack(f"<{l + 1}I", read(4 * (l + 1))))
+        (flags,) = struct.unpack("<I", read(4))
         first_order = bool(flags & 1)
-        hidden = sizes[1] if l > 1 else k_v
+        try:
+            stored = Hyperparams(k_w=k_w, k_v=k_v, r=r, l=l,
+                                 hidden=sizes[1] if l > 1 else k_v,
+                                 first_order=first_order)
+        except ValueError as err:
+            raise DataFormatError(f"{path}: corrupt checkpoint header: {err}") from None
+        if d < 1 or stored.layer_sizes() != sizes:
+            raise DataFormatError(f"{path}: corrupt checkpoint header")
         if hyper is None:
-            hyper = Hyperparams(k_w=k_w, k_v=k_v, r=r, l=l, hidden=hidden,
-                                first_order=first_order)
-        else:
-            if (hyper.k_w, hyper.k_v, hyper.r, hyper.l, hyper.first_order) != (
-                    k_w, k_v, r, l, first_order) or hyper.layer_sizes() != sizes:
-                raise ValueError(f"{path}: checkpoint structure disagrees with config")
+            hyper = stored
+        elif (hyper.k_w, hyper.first_order, hyper.layer_sizes()) != (k_w, first_order, sizes):
+            raise ValueError(f"{path}: checkpoint structure disagrees with config")
 
         def read_array(shape):
-            count = int(np.prod(shape))
-            data = np.frombuffer(fh.read(8 * count), dtype="<f8", count=count)
+            count = math.prod(shape)
+            data = np.frombuffer(read(8 * count), dtype="<f8", count=count)
             return data.reshape(shape).astype(np.float64)
 
         d_eff = d + 1 if first_order else d

@@ -6,11 +6,12 @@ The objective over a batch of supervised pairs is
         - lambda * sum_cases ||z_out||^2
 
 with s_hat the inner product of the two cases' relaxed outputs. The batch's
-distinct cases run through the network as one CSR block, and the gradients
-are closed-form matrix products over that block (validated against central
-finite differences). A hinge-gated variant of the loss (adaptive_loss) drives
-the retention-time model update: pairs whose code similarity already clears
-the margin r*beta contribute nothing.
+distinct cases run through network.py's head (block_sums, interaction,
+fc_stack) as one CSR block, keeping each FC layer's (pre, out), and the
+gradients are closed-form matrix products over that block (validated
+against central finite differences). A hinge-gated variant of the loss
+(adaptive_loss) drives the retention-time model update: pairs whose code
+similarity already clears the margin r*beta contribute nothing.
 """
 
 from __future__ import annotations
@@ -25,12 +26,13 @@ from scipy.special import expit
 
 from .network import (
     DivergenceError,
-    ForwardTrace,
     Hyperparams,
     NetworkParams,
+    block_sums,
+    fc_stack,
     init_params,
-    relu,
-    squash,
+    interaction,
+    squash_grad_from_output,
 )
 from .sparse import cases_to_csr
 
@@ -108,11 +110,6 @@ def zero_gradients(params: NetworkParams) -> Gradients:
     )
 
 
-def relaxed_similarity(trace_i: ForwardTrace, trace_j: ForwardTrace) -> float:
-    """Inner product of two relaxed outputs; the surrogate for code similarity."""
-    return float(trace_i.output @ trace_j.output)
-
-
 def pair_loss(s: float, s_hat: float, alpha: float) -> float:
     """Pairwise cross-entropy term log(1 + e^(alpha*s_hat)) - alpha*s*s_hat.
 
@@ -149,63 +146,25 @@ def _adaptive_loss_and_dshat(s, s_hat, alpha, beta, r):
     return loss, dshat
 
 
-@dataclass
-class BatchForward:
-    """One forward pass over a CSR block of cases, kept for the backward pass.
-
-    x holds the features (a ones column appended for first_order), x_sq their
-    squares; s1 = x w_p^T and s2 = x_sq (w_p^2)^T are the per-row running sums
-    of the interaction identity, z its output, and pre/outputs each FC layer's
-    pre-activation and output. outputs[-1] holds the relaxed codes.
-    """
-
-    x: object
-    x_sq: object
-    s1: np.ndarray
-    s2: np.ndarray
-    z: np.ndarray
-    pre: list = field(default_factory=list)
-    outputs: list = field(default_factory=list)
-
-    @property
-    def output(self) -> np.ndarray:
-        return self.outputs[-1]
-
-
-def _forward_block(cases, params: NetworkParams) -> BatchForward:
-    """Run the network on many cases at once, keeping every intermediate.
-
-    Same arithmetic as network.forward_batch; raises DivergenceError on a
-    non-finite output.
-    """
-    x = cases_to_csr(cases, params.d, extra_ones_column=params.hyper.first_order)
-    x_sq = x.multiply(x)
-    s1 = x @ params.w_p.T                 # (n, k_w)
-    s2 = x_sq @ (params.w_p ** 2).T
-    z = 0.5 * ((np.square(s1) - s2) @ params.v)
-    fwd = BatchForward(x=x, x_sq=x_sq, s1=s1, s2=s2, z=z)
-    h = z
-    for layer in params.layers:
-        pre = h @ layer.w.T + layer.b
-        h = relu(pre) if layer.activation == "relu" else squash(pre)
-        fwd.pre.append(pre)
-        fwd.outputs.append(h)
-    if not np.all(np.isfinite(h)):
-        raise DivergenceError("non-finite network output")
-    return fwd
-
-
 def _forward_distinct(batch: PairBatch, params: NetworkParams):
-    """Forward pass over the batch's distinct cases.
+    """Forward pass over the batch's distinct cases as one CSR block.
 
-    Returns (positions, forward, z, local): local maps a case position to
-    its row of z, so local[batch.i] gives each pair's first row.
+    Returns (positions, trace, z, local): trace holds what _backward needs
+    (the block x, its square x_sq, the running sums s1 and s2, the
+    interaction output and each FC layer's (pre, out)), z the relaxed
+    codes, and local maps a case position to its row of z, so local[batch.i]
+    gives each pair's first row.
     """
     positions = batch.distinct_positions()
-    fwd = _forward_block([batch.cases[p] for p in positions], params)
+    x = cases_to_csr([batch.cases[p] for p in positions], params.d,
+                     extra_ones_column=params.hyper.first_order)
+    x_sq = x.multiply(x)
+    s1, s2 = block_sums(x, x_sq, params.w_p)
+    z_in = interaction(s1, s2, params.v)
+    layers = list(fc_stack(z_in, params))
     local = np.zeros(len(batch.cases), dtype=np.int64)
     local[positions] = np.arange(len(positions))
-    return positions, fwd, fwd.output, local
+    return positions, (x, x_sq, s1, s2, z_in, layers), layers[-1][1], local
 
 
 def _pair_terms(batch: PairBatch, z: np.ndarray, local, alpha: float):
@@ -231,7 +190,7 @@ def batch_objective(batch: PairBatch, params: NetworkParams) -> float:
     return float(losses.sum() - hyper.lambda_ * np.square(z).sum())
 
 
-def _backward(params: NetworkParams, fwd: BatchForward, deltas: np.ndarray) -> Gradients:
+def _backward(params: NetworkParams, trace, deltas: np.ndarray) -> Gradients:
     """Push dL/dz_out (one row per case) back through FC layers, views and
     embeddings, summed over the block.
 
@@ -239,36 +198,37 @@ def _backward(params: NetworkParams, fwd: BatchForward, deltas: np.ndarray) -> G
     dL/dw_p[:, j] = g * x_j * (s1 - x_j w_p[:, j]); summed over the block that
     is (G o S1)^T X - w_p o (G^T X_sq).
     """
+    x, x_sq, s1, s2, z_in, fc = trace
     d_out = deltas
     layers = []
     for li in reversed(range(len(params.layers))):
         layer = params.layers[li]
-        out = fwd.outputs[li]
+        pre, out = fc[li]
         if layer.activation == "squash":
-            d_pre = d_out * (-(1.0 - np.square(out)) / 2.0)
+            d_pre = d_out * squash_grad_from_output(out)
         else:
-            d_pre = d_out * (fwd.pre[li] > 0.0)
-        h_in = fwd.outputs[li - 1] if li > 0 else fwd.z
+            d_pre = d_out * (pre > 0.0)
+        h_in = fc[li - 1][1] if li > 0 else z_in
         layers.append((d_pre.T @ h_in, d_pre.sum(axis=0)))
         d_out = d_pre @ layer.w
     # d_out is now dL/dz, one row per case
     g = d_out @ params.v.T
     return Gradients(
-        w_p=(fwd.x.T @ (g * fwd.s1)).T - params.w_p * (fwd.x_sq.T @ g).T,
-        v=0.5 * ((np.square(fwd.s1) - fwd.s2).T @ d_out),
+        w_p=(x.T @ (g * s1)).T - params.w_p * (x_sq.T @ g).T,
+        v=0.5 * ((np.square(s1) - s2).T @ d_out),
         layers=layers[::-1],
     )
 
 
 def _objective_and_grad(batch: PairBatch, params: NetworkParams):
     hyper = params.hyper
-    _, fwd, z, local = _forward_distinct(batch, params)
+    _, trace, z, local = _forward_distinct(batch, params)
     li, lj, s_hat, losses = _pair_terms(batch, z, local, hyper.alpha)
     value = float(losses.sum() - hyper.lambda_ * np.square(z).sum())
 
     coeff = hyper.alpha * (expit(hyper.alpha * s_hat) - batch.s)
     deltas = _pair_pull(li, lj, coeff, z) - 2.0 * hyper.lambda_ * z
-    return value, _backward(params, fwd, deltas)
+    return value, _backward(params, trace, deltas)
 
 
 def grad(batch: PairBatch, params: NetworkParams) -> Gradients:
@@ -282,12 +242,12 @@ def grad(batch: PairBatch, params: NetworkParams) -> Gradients:
 def adaptive_objective_and_grad(batch: PairBatch, params: NetworkParams):
     """Summed adaptive loss and its gradient; margin-satisfied pairs are inert."""
     hyper = params.hyper
-    _, fwd, z, local = _forward_distinct(batch, params)
+    _, trace, z, local = _forward_distinct(batch, params)
     li, lj = local[batch.i], local[batch.j]
     s_hat = (z[li] * z[lj]).sum(axis=1)
     losses, dshat = _adaptive_loss_and_dshat(batch.s, s_hat, hyper.alpha,
                                              hyper.beta, hyper.r)
-    return float(losses.sum()), _backward(params, fwd, _pair_pull(li, lj, dshat, z))
+    return float(losses.sum()), _backward(params, trace, _pair_pull(li, lj, dshat, z))
 
 
 def finite_diff_grad(batch: PairBatch, params: NetworkParams, eps: float = 1e-5) -> Gradients:

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from casehash import Hyperparams, SparseCase, SparseVector, init_params
+from casehash.network import case_sums, interaction, relaxed_output
 
 
 def make_case(dim, pairs, label=0, case_id=0):
@@ -23,6 +24,35 @@ def random_cases(rng, n, dim, nnz, n_labels=2, id_start=0):
             label=int(rng.integers(n_labels)),
         ))
     return cases
+
+
+def interact(embeddings, v):
+    """The network's interaction output for embedding columns (k_w, nnz):
+    their running sums, then network.interaction."""
+    return interaction(embeddings.sum(axis=1), np.square(embeddings).sum(axis=1), v)
+
+
+def interact_bruteforce(embeddings, v):
+    """Explicit double loop over unordered feature pairs: the oracle for
+    the interaction identity."""
+    k_v = v.shape[1]
+    nnz = embeddings.shape[1]
+    z = np.zeros(k_v)
+    for k in range(k_v):
+        for p in range(nnz):
+            for q in range(p + 1, nnz):
+                z[k] += embeddings[:, p] @ (embeddings[:, q] * v[:, k])
+    return z
+
+
+def case_output(case, params):
+    """The one-row path's relaxed output, the vector hash_case binarizes."""
+    return relaxed_output(interaction(*case_sums(case, params), params.v), params)
+
+
+def relaxed_similarity(out_i, out_j):
+    """Inner product of two relaxed outputs; the surrogate for code similarity."""
+    return float(out_i @ out_j)
 
 
 @pytest.fixture

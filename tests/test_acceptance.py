@@ -41,7 +41,7 @@ from casehash import (
     train,
     two_class_fixture,
 )
-from casehash.network import inner_product, interact, interact_bruteforce
+from casehash.network import inner_product
 from casehash.sparse import (
     SparseCase,
     SparseVector,
@@ -51,7 +51,7 @@ from casehash.sparse import (
 )
 
 import conftest
-from conftest import make_case, random_cases
+from conftest import interact, interact_bruteforce, make_case, random_cases
 
 
 def report(num, name, ok, detail):

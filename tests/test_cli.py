@@ -1,8 +1,9 @@
 import json
 
+import numpy as np
 import pytest
 
-from casehash import two_class_fixture, write_sparse_text
+from casehash import load_checkpoint, two_class_fixture, write_sparse_text
 from casehash.cli import main
 
 FAST_CONFIG = """
@@ -227,3 +228,75 @@ class TestExitCodes:
         code, _, _ = run(capsys, "train", "--data", data_file,
                          "--config", "/nonexistent/c.cfg")
         assert code == 2
+
+
+class TestModelErrors:
+    @pytest.fixture
+    def model(self, tmp_path, data_file, config_file, capsys):
+        out = tmp_path / "m.chn"
+        code, _, _ = run(capsys, "train", "--data", data_file, "--config", config_file,
+                         "--out", str(out))
+        assert code == 0
+        return out
+
+    @pytest.fixture
+    def index_file(self, tmp_path, data_file, capsys):
+        out = tmp_path / "c.idx"
+        code, _, _ = run(capsys, "index", "--data", data_file, "--hash", "lsh",
+                         "--bits", "8", "--out", str(out))
+        assert code == 0
+        return out
+
+    @staticmethod
+    def query(capsys, index_file, data, config_file, model, *extra):
+        return run(capsys, "query", "--index", str(index_file), "--data", str(data),
+                   "--config", config_file, "--model", str(model), *extra)
+
+    @pytest.mark.parametrize("keep", [100, 20])
+    def test_truncated_checkpoint_exits_3(self, index_file, data_file, config_file,
+                                          model, capsys, keep):
+        model.write_bytes(model.read_bytes()[:keep])
+        code, stdout, err = self.query(capsys, index_file, data_file, config_file, model)
+        assert code == 3
+        assert "truncated checkpoint" in err
+        assert stdout == ""
+
+    def test_index_as_model_exits_3(self, index_file, data_file, config_file, capsys):
+        code, stdout, err = self.query(capsys, index_file, data_file, config_file,
+                                       index_file)
+        assert code == 3
+        assert "not a checkpoint file" in err
+        assert stdout == ""
+
+    def test_query_width_mismatch_exits_3(self, tmp_path, index_file, config_file,
+                                          model, capsys):
+        queries = two_class_fixture(n=5, n_noise=5, seed=7, id_start=500)
+        qp = tmp_path / "q.txt"
+        write_sparse_text(queries, qp)
+        code, stdout, err = self.query(capsys, index_file, qp, config_file, model)
+        assert code == 3
+        assert "case dim 25 != network dim 40" in err
+        assert stdout == ""
+
+    def test_structure_disagrees_with_bits_exits_2(self, index_file, data_file,
+                                                   config_file, model, capsys):
+        code, stdout, err = self.query(capsys, index_file, data_file, config_file, model,
+                                       "--bits", "12")
+        assert code == 2
+        assert "disagrees with config" in err
+        assert stdout == ""
+
+
+class TestTrainDivergence:
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_saves_last_finite_parameters_and_exits_4(self, tmp_path, data_file,
+                                                       capsys):
+        cfg = tmp_path / "wild.cfg"
+        cfg.write_text(FAST_CONFIG + "epochs = 5\nlr = 1e300\noptimizer = sgd\n")
+        out = tmp_path / "m.chn"
+        code, stdout, _ = run(capsys, "train", "--data", data_file,
+                              "--config", str(cfg), "--out", str(out))
+        assert code == 4
+        assert json.loads(stdout)["diverged"] is True
+        params = load_checkpoint(out)
+        assert all(np.all(np.isfinite(a)) for _, a in params.arrays())

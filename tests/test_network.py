@@ -2,10 +2,10 @@ import numpy as np
 import pytest
 
 from casehash import (
+    DataFormatError,
     DivergenceError,
     HashCode,
     Hyperparams,
-    forward,
     forward_batch,
     hash_case,
     init_params,
@@ -15,16 +15,14 @@ from casehash import (
 from casehash.network import (
     FcLayer,
     NetworkParams,
-    embed_features,
+    case_sums,
     inner_product,
-    interact,
-    interact_bruteforce,
     pack_rows,
     squash,
     squash_grad_from_output,
 )
 
-from conftest import make_case, random_cases
+from conftest import case_output, interact, interact_bruteforce, make_case, random_cases
 
 
 class TestSquash:
@@ -75,51 +73,61 @@ class TestInteraction:
         # a case with and without that entry is identical
         a = make_case(12, [(2, 0.5), (7, 0.0)], case_id=0)
         b = make_case(12, [(2, 0.5)], case_id=1)
-        _, ea = embed_features(a, small_params.w_p)
-        _, eb = embed_features(b, small_params.w_p)
-        assert np.array_equal(ea, eb)
+        for sa, sb in zip(case_sums(a, small_params), case_sums(b, small_params)):
+            assert np.array_equal(sa, sb)
 
 
 class TestForward:
     def test_output_in_open_interval(self, small_params, rng):
         for case in random_cases(rng, 10, dim=12, nnz=5):
-            out = forward(case, small_params).output
+            out = forward_batch([case], small_params)[0]
             assert out.shape == (8,)
             assert np.all(np.abs(out) < 1.0)
 
     def test_empty_case_valid(self, small_params):
-        out = forward(make_case(12, []), small_params).output
+        out = forward_batch([make_case(12, [])], small_params)[0]
         assert np.all(np.isfinite(out))
+        assert np.all(np.isfinite(case_output(make_case(12, []), small_params)))
 
     def test_dim_mismatch(self, small_params):
         with pytest.raises(ValueError):
-            forward(make_case(9, [(0, 1.0)]), small_params)
+            hash_case(make_case(9, [(0, 1.0)]), small_params)
+        with pytest.raises(DataFormatError):
+            hash_case(make_case(9, [(0, 1.0)]), small_params)
 
     def test_batch_matches_single(self, small_params, rng):
         cases = random_cases(rng, 17, dim=12, nnz=4)
         batch = forward_batch(cases, small_params)
-        single = np.stack([forward(c, small_params).output for c in cases])
+        single = np.stack([case_output(c, small_params) for c in cases])
         assert np.allclose(batch, single, rtol=1e-12, atol=1e-12)
+        assert small_params.code_batch(cases) == [hash_case(c, small_params) for c in cases]
 
     def test_first_order_slot_changes_output(self, rng):
         hyper = Hyperparams(k_w=6, k_v=5, r=8, l=2, hidden=7, first_order=True)
         params = init_params(hyper, d=12, seed=42)
         assert params.w_p.shape == (6, 13)
         case = make_case(12, [(3, 1.0)])
-        out = forward(case, params).output
+        out = case_output(case, params)
         batch = forward_batch([case], params)
         assert np.allclose(batch[0], out, rtol=1e-12, atol=1e-12)
 
     def test_divergence_detected(self, small_params):
         small_params.layers[0].w[:] = np.inf
         with np.errstate(invalid="ignore"), pytest.raises(DivergenceError):
-            forward(make_case(12, [(0, 1.0)]), small_params)
+            hash_case(make_case(12, [(0, 1.0)]), small_params)
+        with np.errstate(invalid="ignore"), pytest.raises(DivergenceError):
+            forward_batch([make_case(12, [(0, 1.0)])], small_params)
 
-    def test_trace_keeps_running_sums(self, small_params):
+    def test_case_sums_are_running_sums(self):
         case = make_case(12, [(1, 0.5), (8, -2.0)])
-        tr = forward(case, small_params)
-        assert np.allclose(tr.sum_e, tr.embeddings.sum(axis=1))
-        assert np.allclose(tr.sum_e_sq, np.square(tr.embeddings).sum(axis=1))
+        for first_order, idx, val in ((False, [1, 8], [0.5, -2.0]),
+                                      (True, [1, 8, 12], [0.5, -2.0, 1.0])):
+            hyper = Hyperparams(k_w=6, k_v=5, r=8, l=2, hidden=7, first_order=first_order)
+            params = init_params(hyper, d=12, seed=42)
+            emb = params.w_p[:, idx] * np.array(val)
+            s1, s2 = case_sums(case, params)
+            assert np.allclose(s1, emb.sum(axis=1))
+            assert np.allclose(s2, np.square(emb).sum(axis=1))
 
 
 class TestHashCode:
@@ -136,9 +144,17 @@ class TestHashCode:
 
     def test_pack_rows_matches_from_signs(self, rng):
         block = rng.normal(size=(9, 130))
+        block[0, :3] = [0.0, -0.0, np.nan]
         codes = pack_rows(block)
         expect = [HashCode.from_signs(row) for row in block]
         assert codes == expect
+        # per bit: word m // 64 holds bit m % 64, set iff the value is >= 0
+        for code, row in zip(codes, block):
+            words = [0, 0, 0]
+            for m, value in enumerate(row):
+                if value >= 0:
+                    words[m // 64] |= 1 << (m % 64)
+            assert code.words == tuple(words)
 
     def test_flip(self):
         code = HashCode.from_signs(np.ones(10))
@@ -162,7 +178,7 @@ class TestHashCode:
 
     def test_hash_case_binarizes_forward(self, small_params, rng):
         case = random_cases(rng, 1, dim=12, nnz=5)[0]
-        out = forward(case, small_params).output
+        out = case_output(case, small_params)
         code = hash_case(case, small_params)
         assert code == HashCode.from_signs(out)
 

@@ -16,14 +16,13 @@ from casehash import (
     sample_pairs,
     train,
 )
+from casehash import forward_batch
 from casehash.training import (
     adaptive_objective_and_grad,
-    relaxed_similarity,
     zero_gradients,
 )
-from casehash import forward
 
-from conftest import make_case, random_cases
+from conftest import make_case, random_cases, relaxed_similarity
 
 
 def rel_err(g: Gradients, fd: Gradients) -> float:
@@ -105,13 +104,12 @@ class TestObjective:
         cases = random_cases(rng, 4, dim=12, nnz=5)
         b = PairBatch(cases=cases, i=[0, 1], j=[2, 3], s=[1, 0])
         hyper = small_params.hyper
-        traces = [forward(c, small_params) for c in cases]
+        outputs = [forward_batch([c], small_params)[0] for c in cases]
         manual = 0.0
         for (i, j, s) in [(0, 2, 1), (1, 3, 0)]:
-            s_hat = relaxed_similarity(traces[i], traces[j])
+            s_hat = relaxed_similarity(outputs[i], outputs[j])
             manual += pair_loss(s, s_hat, hyper.alpha)
-        manual -= hyper.lambda_ * sum(
-            float(t.output @ t.output) for t in traces)
+        manual -= hyper.lambda_ * sum(float(o @ o) for o in outputs)
         assert batch_objective(b, small_params) == pytest.approx(manual, rel=1e-12)
 
     def test_empty_batch_zero_gradients(self, small_params, rng):
