@@ -21,7 +21,7 @@ from .eval import (
     map_at_n,
     prec_at_n,
 )
-from .index import HashIndex, RetrievalResult, hamming_ball
+from .index import HashIndex, RetrievalResult
 from .network import (
     DivergenceError,
     HashCode,
@@ -44,7 +44,6 @@ from .sparse import (
     load_csv,
     load_sparse_text,
     normalize,
-    similarity_label,
     split,
     write_sparse_text,
 )
@@ -54,11 +53,8 @@ from .training import (
     OptimizerState,
     PairBatch,
     TrainResult,
-    adaptive_loss,
     batch_objective,
-    finite_diff_grad,
     grad,
-    pair_loss,
     sample_pairs,
     train,
 )
@@ -70,13 +66,11 @@ __all__ = [
     "DivergenceError", "Gradients", "HashCode", "HashIndex", "Hyperparams",
     "LshPlanes", "MetricReport", "NetworkParams", "OptimizerState",
     "PairBatch", "RetrievalResult", "SolveRecord", "SparseCase",
-    "SparseVector", "Suggestion", "TrainResult", "accuracy",
-    "adaptive_loss", "ap_at_n", "auc_binary", "auc_multiclass",
-    "batch_objective", "bench", "clustered_fixture", "evaluate",
-    "finite_diff_grad", "fit_ranges", "forward_batch", "grad",
-    "hamming_ball", "hamming_distance", "hash_case", "init_params", "kfold",
+    "SparseVector", "Suggestion", "TrainResult", "accuracy", "ap_at_n",
+    "auc_binary", "auc_multiclass", "batch_objective", "bench",
+    "clustered_fixture", "evaluate", "fit_ranges", "forward_batch", "grad",
+    "hamming_distance", "hash_case", "init_params", "kfold",
     "load_checkpoint", "load_csv", "load_sparse_text", "map_at_n",
-    "normalize", "pair_loss", "prec_at_n", "sample_pairs",
-    "save_checkpoint", "similarity_label", "split", "train",
-    "two_class_fixture", "write_sparse_text",
+    "normalize", "prec_at_n", "sample_pairs", "save_checkpoint", "split",
+    "train", "two_class_fixture", "write_sparse_text",
 ]

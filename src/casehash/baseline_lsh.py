@@ -52,7 +52,5 @@ class LshPlanes:
     def code(self, case: SparseCase) -> HashCode:
         return HashCode.from_signs(self.project(case))
 
-    def code_batch(self, cases) -> list:
-        x = cases_to_csr(cases, self.dim)
-        proj = np.asarray(x @ self.planes.T)
-        return pack_rows(proj)
+    def code_batch(self, cases) -> np.ndarray:
+        return pack_rows(np.asarray(cases_to_csr(cases, self.dim) @ self.planes.T))

@@ -283,10 +283,12 @@ def cmd_stream(args, cfg: RunConfig) -> int:
                        update_epochs=cfg.update_epochs,
                        update_lr=cfg.update_lr,
                        no_update=args.no_update, seed=args.seed)
-    n_correct = 0
+    n_correct = n_empty = 0
     for case in rest:
         rec = engine.solve(case, true_label=case.label)
         n_correct += 1 if rec.correct else 0
+        n_empty += rec.suggestion.label is None
+        retrieval = rec.suggestion.retrieval
         print(json.dumps({
             "id": case.id,
             "predicted": rec.suggestion.label,
@@ -294,6 +296,9 @@ def cmd_stream(args, cfg: RunConfig) -> int:
             "correct": rec.correct,
             "retained": rec.retained,
             "updated": rec.updated,
+            "radius_used": retrieval.radius_used,
+            "n_candidates": retrieval.n_candidates,
+            "truncated": retrieval.truncated,
             "hash_us": round(rec.suggestion.hash_us, 1),
             "retrieve_us": round(rec.suggestion.retrieve_us, 1),
             "reuse_us": round(rec.suggestion.reuse_us, 1),
@@ -303,6 +308,7 @@ def cmd_stream(args, cfg: RunConfig) -> int:
     print(json.dumps({
         "streamed": len(rest),
         "accuracy": n_correct / len(rest),
+        "empty_retrievals": n_empty,
         "model_updates": engine.n_updates,
         "final_cases": len(idx),
     }), file=sys.stderr)

@@ -1,17 +1,18 @@
 """Hamming-bucket index over binary case codes with exact rerank.
 
-Cases are bucketed by their packed hash code. Each bucket is an ascending
-int64 array of row positions in the feature snapshot, a CSR matrix whose
-rows follow the order in which cases were stored; an insert appends one row
-position to one bucket, and a remove or a recode regroups every bucket in
-bulk. A query gathers candidates by expanding the Hamming ball around its
-code one complete radius level at a time (0, then 1, then 2 by default),
-stopping as soon as enough candidates exist; since buckets are disjoint the
-gathered arrays concatenate into the candidate rows with no set or id
-search. The survivors are reranked by Euclidean distance on the original
-feature vectors and the top n kept by (distance, id). linear_scan ranks
-every stored case with the same distance kernel and serves as the retrieval
-oracle.
+Row k holds the k-th stored case, its code as row k of one packed uint64
+(n, ceil(r/64)) array, the array code_batch returns, and row k of the
+feature snapshot, a CSR matrix; only code(id) builds a HashCode. Each bucket
+is an ascending int64 array of the rows that share one code; an insert
+appends one row to the code array and one to a bucket, and a remove or a
+recode regroups every bucket in bulk. A query gathers candidates by
+expanding the Hamming ball around its code one complete radius level at a
+time (0, then 1, then 2 by default), stopping as soon as enough candidates
+exist; since buckets are disjoint the gathered arrays concatenate into the
+candidate rows with no set or id search. The survivors are reranked by
+Euclidean distance on the original feature vectors and the top n kept by
+(distance, id). linear_scan ranks every stored case with the same distance
+kernel and serves as the retrieval oracle.
 """
 
 from __future__ import annotations
@@ -32,16 +33,6 @@ from .sparse import DataFormatError, SparseCase, SparseVector, cases_to_csr
 
 INDEX_MAGIC = b"CHIX"
 INDEX_VERSION = 1
-
-
-def hamming_ball(code: HashCode, radius: int):
-    """Yield every code within the given Hamming radius, nearest level first."""
-    if radius < 0:
-        raise ValueError("radius must be >= 0")
-    yield code
-    for t in range(1, radius + 1):
-        for bits in combinations(range(code.r), t):
-            yield code.flip(*bits)
 
 
 def _code_key(words) -> int:
@@ -95,9 +86,11 @@ class HashIndex:
             raise ValueError("r and dim must be positive")
         self.r = r
         self.dim = dim
-        # insertion order is row order in the snapshot and the buckets
-        self._cases: dict[int, SparseCase] = {}
-        self._codes: dict[int, HashCode] = {}
+        # row k: _cases[k], its code _words[k] and snapshot row k; _row maps
+        # each id to its row and lists the ids in row order
+        self._cases: list[SparseCase] = []
+        self._words = np.zeros((0, (r + 63) // 64), dtype=np.uint64)
+        self._row: dict[int, int] = {}
         # code key -> ascending row positions; never empty
         self._buckets: dict[int, np.ndarray] = {}
         self._masks: dict[int, list[int]] = {}
@@ -107,16 +100,17 @@ class HashIndex:
         return len(self._cases)
 
     def __contains__(self, case_id: int) -> bool:
-        return case_id in self._cases
+        return case_id in self._row
 
     def case(self, case_id: int) -> SparseCase:
-        return self._cases[case_id]
+        return self._cases[self._row[case_id]]
 
     def code(self, case_id: int) -> HashCode:
-        return self._codes[case_id]
+        # Python ints, since _code_key shifts word i by 64 * i
+        return HashCode(r=self.r, words=tuple(self._words[self._row[case_id]].tolist()))
 
     def ids(self) -> list[int]:
-        return sorted(self._cases)
+        return sorted(self._row)
 
     @property
     def n_buckets(self) -> int:
@@ -126,10 +120,7 @@ class HashIndex:
         """Bucket count, largest bucket and, per bit, the fraction of stored
         cases whose code has that bit set."""
         sizes = np.array([len(b) for b in self._buckets.values()], dtype=np.int64)
-        n_words = (self.r + 63) // 64
-        keys = np.array([[(k >> (64 * i)) & 0xFFFFFFFFFFFFFFFF for i in range(n_words)]
-                         for k in self._buckets], dtype="<u8").reshape(len(sizes), n_words)
-        balance = sizes @ unpack_words(keys, self.r) / max(len(self), 1)
+        balance = unpack_words(self._words, self.r).sum(axis=0) / max(len(self), 1)
         return {"n_buckets": len(sizes), "largest_bucket": int(sizes.max(initial=0)),
                 "bit_balance": [float(b) for b in balance]}
 
@@ -140,31 +131,30 @@ class HashIndex:
         if not cases:
             raise ValueError("cannot build an index from zero cases")
         idx = cls(r=coder.r, dim=cases[0].features.dim)
-        for case, code in zip(cases, coder.code_batch(cases)):
-            idx._store(case, code)
+        for case in cases:
+            idx._append(case)
+        idx._words = coder.code_batch(cases)
         idx._regroup()
         return idx
 
-    def _store(self, case: SparseCase, code: HashCode) -> None:
-        if case.id in self._cases:
+    def _append(self, case: SparseCase) -> None:
+        if case.id in self._row:
             raise KeyError(f"duplicate case id {case.id}")
         if case.features.dim != self.dim:
             raise DataFormatError(
                 f"case dim {case.features.dim} does not match index dim {self.dim}")
-        if code.r != self.r:
-            raise ValueError(f"code width {code.r} does not match index width {self.r}")
-        self._cases[case.id] = case
-        self._codes[case.id] = code
+        self._row[case.id] = len(self._cases)
+        self._cases.append(case)
 
     def _regroup(self) -> None:
-        """Rebuild every bucket from the stored codes in row order."""
-        n_words = (self.r + 63) // 64
-        words = np.fromiter(chain.from_iterable(self._codes[cid].words for cid in self._cases),
-                            dtype=np.uint64, count=len(self._cases) * n_words)
-        self._buckets = _group(words.reshape(len(self._cases), n_words))
+        """Rebuild every bucket from the code array."""
+        self._buckets = _group(self._words)
 
     def insert(self, case: SparseCase, code: HashCode) -> None:
-        self._store(case, code)
+        if code.r != self.r:
+            raise ValueError(f"code width {code.r} does not match index width {self.r}")
+        self._append(case)
+        self._words = np.concatenate((self._words, np.array([code.words], dtype=np.uint64)))
         row = np.array([len(self._cases) - 1], dtype=np.int64)
         key = _code_key(code.words)
         bucket = self._buckets.get(key)
@@ -172,18 +162,21 @@ class HashIndex:
         self._snapshot = None
 
     def remove(self, case_id: int) -> SparseCase:
-        if case_id not in self._cases:
+        if case_id not in self._row:
             raise KeyError(f"unknown case id {case_id}")
-        case = self._cases.pop(case_id)
-        del self._codes[case_id]
-        self._regroup()  # every later row moves up by one
+        row = self._row[case_id]
+        case = self._cases.pop(row)
+        self._row = {c.id: k for k, c in enumerate(self._cases)}  # later rows move up
+        self._words = np.delete(self._words, row, axis=0)
+        self._regroup()
         self._snapshot = None
         return case
 
     def replace_codes(self, coder) -> None:
         """Recompute every stored code and rebuild the buckets in place."""
-        ids = self.ids()
-        self._codes = dict(zip(ids, coder.code_batch([self._cases[i] for i in ids])))
+        if coder.r != self.r:
+            raise ValueError(f"coder width {coder.r} does not match index width {self.r}")
+        self._words = coder.code_batch(self._cases)
         self._regroup()
         # rows and features are unchanged; keep any existing snapshot
 
@@ -205,13 +198,13 @@ class HashIndex:
         if not parts:
             return set()
         ids = (self._snapshot[0] if self._snapshot is not None
-               else np.fromiter(self._cases, dtype=np.int64, count=len(self._cases)))
+               else np.fromiter(self._row, dtype=np.int64, count=len(self._row)))
         return set(ids[np.concatenate(parts)].tolist())
 
     def _matrix(self):
         if self._snapshot is None:
-            ids = np.fromiter(self._cases, dtype=np.int64, count=len(self._cases))
-            self._snapshot = _snapshot(ids, cases_to_csr(list(self._cases.values()), self.dim))
+            ids = np.fromiter(self._row, dtype=np.int64, count=len(self._row))
+            self._snapshot = _snapshot(ids, cases_to_csr(self._cases, self.dim))
         return self._snapshot
 
     def _distances_to(self, query: SparseCase, rows: np.ndarray) -> np.ndarray:
@@ -305,11 +298,10 @@ class HashIndex:
     def save(self, path) -> None:
         """Binary dump: header, id/code/label/nnz arrays, then each case's
         feature indices followed by its values, in ascending id order."""
-        ids = self.ids()
-        cases = [self._cases[i] for i in ids]
-        n = len(ids)
-        words = np.array([self._codes[i].words for i in ids],
-                         dtype="<u8").reshape(n, (self.r + 63) // 64)
+        ids = np.fromiter(self._row, dtype="<i8", count=len(self._row))
+        order = np.argsort(ids)
+        cases = [self._cases[k] for k in order.tolist()]
+        n = len(cases)
         labels = np.fromiter((c.label for c in cases), dtype="<i8", count=n)
         nnz = np.fromiter((c.features.nnz for c in cases), dtype="<i8", count=n)
         total = int(nnz.sum())
@@ -322,8 +314,8 @@ class HashIndex:
         with open(str(path), "wb") as fh:
             fh.write(INDEX_MAGIC)
             np.array([INDEX_VERSION, self.r, self.dim, n], dtype="<i8").tofile(fh)
-            np.array(ids, dtype="<i8").tofile(fh)
-            words.tofile(fh)
+            ids[order].tofile(fh)
+            self._words[order].astype("<u8", copy=False).tofile(fh)
             labels.tofile(fh)
             nnz.tofile(fh)
             feats.tofile(fh)
@@ -343,6 +335,9 @@ class HashIndex:
             n_words = (r + 63) // 64
             ids = _read(fh, "<i8", n).astype(np.int64)
             words = _read(fh, "<u8", n * n_words).reshape(n, n_words)
+            spare = n_words * 64 - r
+            if spare and (words[:, -1] >> np.uint64(64 - spare)).any():
+                raise DataFormatError("corrupt index file: unused high bits must be zero")
             labels = _read(fh, "<i8", n).tolist()
             nnz = _read(fh, "<i8", n).astype(np.int64)
             if (nnz < 0).any():
@@ -358,25 +353,20 @@ class HashIndex:
         bounds = indptr.tolist()
         ind_list, val_list = indices.tolist(), values.tolist()
         id_list = ids.tolist()
-        idx._buckets = _group(words)
-        row_codes = [None] * n
-        try:  # the constructors check each case's features and each code
-            for k, cid in enumerate(id_list):
-                a, b = bounds[k], bounds[k + 1]
-                idx._cases[cid] = SparseCase(
-                    id=cid,
-                    features=SparseVector(dim=dim, indices=tuple(ind_list[a:b]),
-                                          values=tuple(val_list[a:b])),
-                    label=labels[k])
-            for rows in idx._buckets.values():  # one code object per bucket
-                code = HashCode(r=r, words=tuple(int(w) for w in words[rows[0]]))
-                for row in rows.tolist():
-                    row_codes[row] = code
+        try:  # the constructors check each case's features
+            idx._cases = [
+                SparseCase(id=cid,
+                           features=SparseVector(dim=dim, indices=tuple(ind_list[a:b]),
+                                                 values=tuple(val_list[a:b])),
+                           label=label)
+                for cid, a, b, label in zip(id_list, bounds, bounds[1:], labels)]
         except ValueError as err:
             raise DataFormatError(f"corrupt index file: {err}") from None
-        if len(idx._cases) != n:
+        idx._row = dict(zip(id_list, range(n)))
+        if len(idx._row) != n:
             raise DataFormatError("corrupt index file: duplicate case ids")
-        idx._codes = dict(zip(id_list, row_codes))
+        idx._words = words
+        idx._buckets = _group(words)
         idx._snapshot = _snapshot(ids, sp.csr_matrix((values, indices, indptr),
                                                      shape=(n, dim)))
         return idx

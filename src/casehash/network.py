@@ -16,8 +16,8 @@ output) so training can keep them for its backward pass while coding keeps
 only the last (relaxed_output). Only the step that makes S1 and S2 differs:
 a block of cases takes it from a CSR matrix (block_sums), a single case
 gathers its active columns (case_sums). Codes are packed by one
-np.packbits body (pack_rows) into little-endian 64-bit words and unpacked by
-its inverse (unpack_words).
+np.packbits body (pack_rows) into a uint64 (n, ceil(r/64)) array, the form
+code_batch returns and the index stores, and unpacked by unpack_words.
 
 forward_batch and hash_case are pure reads of the parameters and safe to
 run concurrently; training mutates parameters under exclusive access.
@@ -121,9 +121,7 @@ class NetworkParams:
     def code(self, case: SparseCase) -> "HashCode":
         return hash_case(case, self)
 
-    def code_batch(self, cases) -> list["HashCode"]:
-        if not cases:
-            return []
+    def code_batch(self, cases) -> np.ndarray:
         return pack_rows(forward_batch(cases, self))
 
 
@@ -149,7 +147,8 @@ class HashCode:
     @staticmethod
     def from_signs(values) -> "HashCode":
         """Pack a real vector: component m is +1 iff values[m] >= 0."""
-        return pack_rows(values)[0]
+        row = np.asarray(values).reshape(1, -1)
+        return HashCode(r=row.shape[1], words=tuple(pack_rows(row)[0].tolist()))
 
     def to_signs(self) -> np.ndarray:
         bits = unpack_words([self.words], self.r)[0]
@@ -273,15 +272,15 @@ def unpack_words(words, r: int) -> np.ndarray:
     return np.unpackbits(words.view(np.uint8), axis=1, count=r, bitorder="little")
 
 
-def pack_rows(outputs) -> list[HashCode]:
-    """Binarize a (n, r) output block into packed codes: bit m of a row is
-    set iff its component m is >= 0, so sign(0) = +1."""
-    outputs = np.atleast_2d(outputs)
+def pack_rows(outputs: np.ndarray) -> np.ndarray:
+    """Binarize a (n, r) output block into packed codes, uint64
+    (n, ceil(r/64)): bit m of a row is set iff its component m is >= 0, so
+    sign(0) = +1 and NaN packs as -1."""
     n, r = outputs.shape
-    bits = np.zeros((n, -(-r // _WORD_BITS) * _WORD_BITS), dtype=bool)
-    np.greater_equal(outputs, 0, out=bits[:, :r])
-    words = np.packbits(bits, axis=1, bitorder="little").view("<u8")
-    return [HashCode(r=r, words=row) for row in zip(*words.T.tolist())]
+    words = np.zeros((n, -(-r // _WORD_BITS)), dtype="<u8")
+    words.view(np.uint8)[:, :-(-r // 8)] = np.packbits(outputs >= 0, axis=1,
+                                                       bitorder="little")
+    return words
 
 
 def init_params(hyper: Hyperparams, d: int, seed: int) -> NetworkParams:

@@ -426,11 +426,6 @@ def normalize(cases, schema: DatasetSchema):
     return out
 
 
-def similarity_label(a: SparseCase, b: SparseCase) -> int:
-    """1 iff the two cases carry the same solution label, else 0. Symmetric."""
-    return 1 if a.label == b.label else 0
-
-
 def cases_to_csr(cases, dim: int, extra_ones_column: bool = False):
     """Stack case features into a scipy CSR matrix of shape (n, dim).
 
@@ -481,8 +476,3 @@ def kfold(cases, k: int, seed: int):
         train = [cases[j] for j in order if j not in test_ids]
         test = [cases[j] for j in folds[i]]
         yield train, test
-
-
-def relabel(cases) -> list[SparseCase]:
-    """Reassign sequential ids 0..n-1 (after splits, before indexing)."""
-    return [replace(c, id=i) for i, c in enumerate(cases)]

@@ -10,8 +10,8 @@ distinct cases run through network.py's head (block_sums, interaction,
 fc_stack) as one CSR block, keeping each FC layer's (pre, out), and the
 gradients are closed-form matrix products over that block (validated
 against central finite differences). A hinge-gated variant of the loss
-(adaptive_loss) drives the retention-time model update: pairs whose code
-similarity already clears the margin r*beta contribute nothing.
+(adaptive_objective_and_grad) drives the retention-time model update: pairs
+whose code similarity already clears the margin r*beta contribute nothing.
 """
 
 from __future__ import annotations
@@ -100,35 +100,6 @@ class Gradients:
 
     def is_finite(self) -> bool:
         return all(np.all(np.isfinite(a)) for _, a in self.arrays())
-
-
-def zero_gradients(params: NetworkParams) -> Gradients:
-    return Gradients(
-        w_p=np.zeros_like(params.w_p),
-        v=np.zeros_like(params.v),
-        layers=[(np.zeros_like(l.w), np.zeros_like(l.b)) for l in params.layers],
-    )
-
-
-def pair_loss(s: float, s_hat: float, alpha: float) -> float:
-    """Pairwise cross-entropy term log(1 + e^(alpha*s_hat)) - alpha*s*s_hat.
-
-    Evaluated in the overflow-safe form max(t,0) + log(1 + e^-|t|).
-    """
-    t = alpha * s_hat
-    return float(np.logaddexp(0.0, t) - s * t)
-
-
-def adaptive_loss(s: float, s_hat: float, alpha: float, beta: float, r: int) -> float:
-    """Hinge-gated retention loss; identically zero once the margin r*beta holds.
-
-    s=1: max(0, r*beta - s_hat) * log(1 + e^(-alpha*s_hat))
-    s=0: max(0, r*beta + s_hat) * log(1 + e^(+alpha*s_hat))
-    """
-    margin = r * beta
-    if s == 1:
-        return max(0.0, margin - s_hat) * float(np.logaddexp(0.0, -alpha * s_hat))
-    return max(0.0, margin + s_hat) * float(np.logaddexp(0.0, alpha * s_hat))
 
 
 def _adaptive_loss_and_dshat(s, s_hat, alpha, beta, r):
@@ -248,24 +219,6 @@ def adaptive_objective_and_grad(batch: PairBatch, params: NetworkParams):
     losses, dshat = _adaptive_loss_and_dshat(batch.s, s_hat, hyper.alpha,
                                              hyper.beta, hyper.r)
     return float(losses.sum()), _backward(params, trace, _pair_pull(li, lj, dshat, z))
-
-
-def finite_diff_grad(batch: PairBatch, params: NetworkParams, eps: float = 1e-5) -> Gradients:
-    """Central-difference gradient oracle, one scalar parameter at a time."""
-    if eps <= 0:
-        raise ValueError("eps must be positive")
-    out = zero_gradients(params)
-    for (_, arr), (_, garr) in zip(params.arrays(), out.arrays()):
-        flat, gflat = arr.ravel(), garr.ravel()
-        for t in range(flat.size):
-            orig = flat[t]
-            flat[t] = orig + eps
-            f_plus = batch_objective(batch, params)
-            flat[t] = orig - eps
-            f_minus = batch_objective(batch, params)
-            flat[t] = orig
-            gflat[t] = (f_plus - f_minus) / (2.0 * eps)
-    return out
 
 
 def sample_pairs(cases, batch_size: int, seed: int, neg_ratio: float = 1.0) -> PairBatch:

@@ -29,10 +29,8 @@ from casehash import (
     auc_multiclass,
     clustered_fixture,
     evaluate,
-    finite_diff_grad,
     grad,
     bench,
-    hamming_ball,
     hamming_distance,
     init_params,
     map_at_n,
@@ -51,7 +49,8 @@ from casehash.sparse import (
 )
 
 import conftest
-from conftest import interact, interact_bruteforce, make_case, random_cases
+from conftest import (finite_diff_grad, hamming_ball, interact, interact_bruteforce,
+                      make_case, random_cases)
 
 
 def report(num, name, ok, detail):

@@ -6,6 +6,8 @@ import pytest
 from casehash import load_checkpoint, two_class_fixture, write_sparse_text
 from casehash.cli import main
 
+from conftest import make_case
+
 FAST_CONFIG = """
 # small everything so tests stay quick
 k_w = 8
@@ -110,6 +112,25 @@ class TestStreamCommand:
         summary = json.loads(stderr.strip().splitlines()[-1])
         assert summary["streamed"] == 40
 
+    def test_retrieval_fields(self, tmp_path, capsys):
+        # four stored cases share one code; a query with the negated feature
+        # gets the complement code, 8 bits away, so nothing within radius 2
+        base = [make_case(1, [(0, 1.0)], label=k % 2, case_id=k) for k in range(4)]
+        near = [make_case(1, [(0, 2.0)], label=0, case_id=k) for k in (4, 5)]
+        far = [make_case(1, [(0, -1.0)], label=1, case_id=k) for k in (6, 7)]
+        data = tmp_path / "cases.txt"
+        write_sparse_text(base + near + far, data)
+        code, stdout, stderr = run(
+            capsys, "stream", "--data", str(data), "--hash", "lsh", "--bits", "8",
+            "--train-frac", "0.5", "--top-n", "3", "--no-update")
+        assert code == 0
+        lines = [json.loads(l) for l in stdout.strip().splitlines()]
+        got = [(l["predicted"] is None, l["radius_used"], l["n_candidates"], l["truncated"])
+               for l in lines]
+        assert got == [(False, 0, 4, False)] * 2 + [(True, 2, 0, False)] * 2
+        summary = json.loads(stderr.strip().splitlines()[-1])
+        assert summary["empty_retrievals"] == 2
+
     def test_no_update_freezes(self, data_file, capsys):
         code, stdout, stderr = run(
             capsys, "stream", "--data", data_file, "--hash", "lsh", "--bits", "8",
@@ -169,6 +190,23 @@ class TestIndexAndQuery:
             "--hash", "lsh", "--bits", "8")
         assert code == 3
         assert "truncated index file" in err
+        assert stdout == ""
+
+    def test_high_code_bits_exit_3(self, tmp_path, data_file, capsys):
+        idx_path = tmp_path / "c.idx"
+        code, _, _ = run(
+            capsys, "index", "--data", data_file, "--hash", "lsh", "--bits", "8",
+            "--out", str(idx_path))
+        assert code == 0
+        data = bytearray(idx_path.read_bytes())
+        word0 = 4 + 8 * 4 + 8 * 80  # magic, header, 80 ids
+        data[word0 + 1] |= 0x02  # bit 9 of an 8-bit code
+        idx_path.write_bytes(bytes(data))
+        code, stdout, err = run(
+            capsys, "query", "--index", str(idx_path), "--data", data_file,
+            "--hash", "lsh", "--bits", "8")
+        assert code == 3
+        assert "high bits" in err
         assert stdout == ""
 
     def test_index_requires_coder(self, data_file, capsys):

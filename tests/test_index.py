@@ -9,14 +9,13 @@ from casehash import (
     HashCode,
     HashIndex,
     LshPlanes,
-    hamming_ball,
     hamming_distance,
 )
 from casehash import index as index_module
 from casehash.network import inner_product
 from casehash.sparse import cases_to_csr
 
-from conftest import make_case, random_cases
+from conftest import hamming_ball, make_case, random_cases
 
 
 def random_code(rng, r):

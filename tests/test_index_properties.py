@@ -50,8 +50,9 @@ class TableCoder:
         self.r = r
         self.table = table
 
-    def code_batch(self, cases):
-        return [self.table[c.id] for c in cases]
+    def code_batch(self, cases) -> np.ndarray:
+        return np.array([self.table[c.id].words for c in cases],
+                        dtype=np.uint64).reshape(len(cases), (self.r + 63) // 64)
 
 
 def operations(r):
@@ -130,6 +131,14 @@ def run_operations(r, initial, ops):
     return idx, stored
 
 
+def check_bit_balance(idx):
+    """stats()' per-bit balance against a brute-force mean over the signs of
+    every stored code."""
+    signs = np.array([idx.code(cid).to_signs() for cid in idx.ids()]).reshape(-1, idx.r)
+    want = (signs > 0).sum(axis=0) / max(len(signs), 1)
+    assert idx.stats()["bit_balance"] == want.tolist()
+
+
 def check_against_oracle(r, idx, stored, qs):
     assert idx.ids() == sorted(stored)
     for cid, (case, code) in stored.items():
@@ -160,6 +169,7 @@ def test_retrieve_matches_bruteforce_after_mutations(r):
            ops=operations(r), qs=queries(r))
     def check(initial, ops, qs):
         idx, stored = run_operations(r, initial, ops)
+        check_bit_balance(idx)
         check_against_oracle(r, idx, stored, qs)
 
     check()
@@ -180,6 +190,7 @@ def test_save_load_save_is_byte_identical(r):
             back.save(second)
             assert first.read_bytes() == second.read_bytes()
         assert back.n_buckets == idx.n_buckets
+        check_bit_balance(back)
         check_against_oracle(r, back, stored, qs)
 
     check()

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from casehash import LshPlanes
+from casehash import HashCode, LshPlanes
 from casehash.sparse import SparseCase, SparseVector
 
 from conftest import make_case, random_cases
@@ -40,7 +40,9 @@ class TestLshPlanes:
     def test_batch_matches_single(self, rng):
         planes = LshPlanes.sample(24, 15, seed=3)
         cases = random_cases(rng, 20, dim=15, nnz=4)
-        assert planes.code_batch(cases) == [planes.code(c) for c in cases]
+        words = planes.code_batch(cases)
+        assert [HashCode(r=24, words=tuple(row)) for row in words.tolist()] == [
+            planes.code(c) for c in cases]
 
     def test_dim_mismatch(self):
         planes = LshPlanes.sample(8, 10, seed=0)

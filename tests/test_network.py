@@ -6,6 +6,7 @@ from casehash import (
     DivergenceError,
     HashCode,
     Hyperparams,
+    LshPlanes,
     forward_batch,
     hash_case,
     init_params,
@@ -100,7 +101,8 @@ class TestForward:
         batch = forward_batch(cases, small_params)
         single = np.stack([case_output(c, small_params) for c in cases])
         assert np.allclose(batch, single, rtol=1e-12, atol=1e-12)
-        assert small_params.code_batch(cases) == [hash_case(c, small_params) for c in cases]
+        assert small_params.code_batch(cases).tolist() == [
+            list(hash_case(c, small_params).words) for c in cases]
 
     def test_first_order_slot_changes_output(self, rng):
         hyper = Hyperparams(k_w=6, k_v=5, r=8, l=2, hidden=7, first_order=True)
@@ -130,6 +132,22 @@ class TestForward:
             assert np.allclose(s2, np.square(emb).sum(axis=1))
 
 
+class TestCodeBatch:
+    @pytest.mark.parametrize("r", [6, 64, 65, 70])
+    @pytest.mark.parametrize("kind", ["network", "lsh"])
+    def test_rows_equal_single_codes(self, rng, kind, r):
+        if kind == "network":
+            coder = init_params(Hyperparams(k_w=6, k_v=5, r=r, l=2, hidden=7), d=12, seed=r)
+        else:
+            coder = LshPlanes.sample(r, 12, seed=r)
+        cases = random_cases(rng, 23, dim=12, nnz=4) + [make_case(12, [], case_id=23)]
+        words = coder.code_batch(cases)
+        assert words.dtype == np.uint64 and words.shape == (24, (r + 63) // 64)
+        assert [tuple(row) for row in words.tolist()] == [coder.code(c).words for c in cases]
+        empty = coder.code_batch([])
+        assert empty.dtype == np.uint64 and empty.shape == (0, (r + 63) // 64)
+
+
 class TestHashCode:
     def test_sign_zero_is_positive(self):
         code = HashCode.from_signs(np.array([0.0, -0.1, 0.2, -0.0]))
@@ -145,16 +163,17 @@ class TestHashCode:
     def test_pack_rows_matches_from_signs(self, rng):
         block = rng.normal(size=(9, 130))
         block[0, :3] = [0.0, -0.0, np.nan]
-        codes = pack_rows(block)
-        expect = [HashCode.from_signs(row) for row in block]
-        assert codes == expect
+        packed = pack_rows(block)
+        assert packed.shape == (9, 3) and packed.dtype == np.uint64
+        assert [tuple(row) for row in packed.tolist()] == [
+            HashCode.from_signs(row).words for row in block]
         # per bit: word m // 64 holds bit m % 64, set iff the value is >= 0
-        for code, row in zip(codes, block):
+        for got, row in zip(packed.tolist(), block):
             words = [0, 0, 0]
             for m, value in enumerate(row):
                 if value >= 0:
                     words[m // 64] |= 1 << (m % 64)
-            assert code.words == tuple(words)
+            assert got == words
 
     def test_flip(self):
         code = HashCode.from_signs(np.ones(10))

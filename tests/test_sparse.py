@@ -10,13 +10,12 @@ from casehash import (
     load_csv,
     load_sparse_text,
     normalize,
-    similarity_label,
     split,
     write_sparse_text,
 )
-from casehash.sparse import cases_to_csr, parse_schema_spec, relabel
+from casehash.sparse import cases_to_csr, parse_schema_spec
 
-from conftest import make_case
+from conftest import make_case, relabel, similarity_label
 
 
 class TestSparseVector:

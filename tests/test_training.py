@@ -7,22 +7,24 @@ from casehash import (
     Hyperparams,
     OptimizerState,
     PairBatch,
-    adaptive_loss,
     batch_objective,
-    finite_diff_grad,
     grad,
     init_params,
-    pair_loss,
     sample_pairs,
     train,
 )
 from casehash import forward_batch
-from casehash.training import (
-    adaptive_objective_and_grad,
+from casehash.training import adaptive_objective_and_grad
+
+from conftest import (
+    adaptive_loss,
+    finite_diff_grad,
+    make_case,
+    pair_loss,
+    random_cases,
+    relaxed_similarity,
     zero_gradients,
 )
-
-from conftest import make_case, random_cases, relaxed_similarity
 
 
 def rel_err(g: Gradients, fd: Gradients) -> float:
