@@ -8,7 +8,7 @@ function as solved cases accumulate.
 """
 
 from .baseline_lsh import LshPlanes
-from .cbr import CbrEngine, SolveRecord, Suggestion
+from .cbr import CbrEngine, SolveRecord, Suggestion, UpdateStats
 from .eval import (
     BenchResult,
     MetricReport,
@@ -66,8 +66,8 @@ __all__ = [
     "DivergenceError", "Gradients", "HashCode", "HashIndex", "Hyperparams",
     "LshPlanes", "MetricReport", "NetworkParams", "OptimizerState",
     "PairBatch", "RetrievalResult", "SolveRecord", "SparseCase",
-    "SparseVector", "Suggestion", "TrainResult", "accuracy", "ap_at_n",
-    "auc_binary", "auc_multiclass", "batch_objective", "bench",
+    "SparseVector", "Suggestion", "TrainResult", "UpdateStats", "accuracy",
+    "ap_at_n", "auc_binary", "auc_multiclass", "batch_objective", "bench",
     "clustered_fixture", "evaluate", "fit_ranges", "forward_batch", "grad",
     "hamming_distance", "hash_case", "init_params", "kfold",
     "load_checkpoint", "load_csv", "load_sparse_text", "map_at_n",

@@ -7,7 +7,9 @@ in a buffer; every update_interval retentions the hash network is refreshed
 on buffer x buffer and buffer x reservoir pairs under the hinge-gated
 retention loss, after which every stored code is recomputed and the buckets
 rebuilt. A retention round whose loss is exactly zero leaves the parameters
-and codes bitwise unchanged.
+and codes bitwise unchanged. Each update's loss, pair count, steps, recode
+time and code churn are kept as UpdateStats on the engine and on the
+SolveRecord of the solve that triggered it.
 """
 
 from __future__ import annotations
@@ -46,6 +48,19 @@ class Suggestion:
 
 
 @dataclass
+class UpdateStats:
+    """One model update: the last retention loss evaluated, the pair count,
+    the optimizer steps taken, the wall time of the recode (0 when no step
+    was taken) and the code churn, the fraction of stored codes it changed."""
+
+    loss: float = 0.0
+    pairs: int = 0
+    steps: int = 0
+    recode_us: float = 0.0
+    churn: float = 0.0
+
+
+@dataclass
 class SolveRecord:
     suggestion: Suggestion
     true_label: int | None = None
@@ -54,6 +69,7 @@ class SolveRecord:
     updated: bool = False
     retain_us: float = 0.0
     update_us: float = 0.0
+    update: UpdateStats | None = None  # set when updated
 
     @property
     def total_us(self) -> float:
@@ -84,6 +100,7 @@ class CbrEngine:
         self.no_update = no_update
         self.buffer: list[SparseCase] = []
         self.n_updates = 0
+        self.last_update: UpdateStats | None = None
         self._rng = np.random.default_rng(seed)
 
     # retrieval / reuse
@@ -166,7 +183,8 @@ class CbrEngine:
         Pairs: every unordered buffer pair plus each buffer case against a
         reservoir sample of stored cases. Runs update_epochs full-batch
         steps of the retention loss; steps with exactly zero loss apply no
-        parameter change, so a fully satisfied margin is a no-op.
+        parameter change, so a fully satisfied margin is a no-op. Returns
+        the last loss evaluated; last_update holds the round's UpdateStats.
         """
         if not self.trainable:
             raise RuntimeError("coder has no trainable parameters")
@@ -177,25 +195,26 @@ class CbrEngine:
         cases = buffered + others
         i, j = np.triu_indices(len(buffered), k=1, m=len(cases))
         self.buffer.clear()
+        self.last_update = stats = UpdateStats(pairs=len(i))
         if not len(i):
             return 0.0
         labels = np.array([c.label for c in cases])
         batch = PairBatch(cases=cases, i=i, j=j, s=labels[i] == labels[j])
 
         opt = OptimizerState(kind="adam", lr=self.update_lr)
-        last = 0.0
-        stepped = False
         for _ in range(self.update_epochs):
-            value, grads = adaptive_objective_and_grad(batch, self.coder)
-            last = value
-            if value == 0.0:
+            stats.loss, grads = adaptive_objective_and_grad(batch, self.coder)
+            if stats.loss == 0.0:
                 break
             opt.apply(self.coder, grads)
-            stepped = True
-        if stepped:
-            self.index.replace_codes(self.coder)
+            stats.steps += 1
+        if stats.steps:
+            t0 = time.perf_counter_ns()
+            changed = self.index.replace_codes(self.coder)
+            stats.recode_us = (time.perf_counter_ns() - t0) / 1e3
+            stats.churn = changed / len(self.index)
         self.n_updates += 1
-        return last
+        return stats.loss
 
     # full cycle
 
@@ -222,6 +241,7 @@ class CbrEngine:
         record.updated = updated
         if updated:
             record.update_us = elapsed_us
+            record.update = self.last_update
         else:
             record.retain_us = elapsed_us
         return record

@@ -289,7 +289,7 @@ def cmd_stream(args, cfg: RunConfig) -> int:
         n_correct += 1 if rec.correct else 0
         n_empty += rec.suggestion.label is None
         retrieval = rec.suggestion.retrieval
-        print(json.dumps({
+        line = {
             "id": case.id,
             "predicted": rec.suggestion.label,
             "true": case.label,
@@ -304,7 +304,13 @@ def cmd_stream(args, cfg: RunConfig) -> int:
             "reuse_us": round(rec.suggestion.reuse_us, 1),
             "retain_us": round(rec.retain_us, 1),
             "update_us": round(rec.update_us, 1),
-        }))
+        }
+        if rec.update is not None:
+            line.update(update_loss=rec.update.loss, update_pairs=rec.update.pairs,
+                        update_steps=rec.update.steps,
+                        recode_us=round(rec.update.recode_us, 1),
+                        code_churn=rec.update.churn)
+        print(json.dumps(line))
     print(json.dumps({
         "streamed": len(rest),
         "accuracy": n_correct / len(rest),

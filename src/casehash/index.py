@@ -172,13 +172,15 @@ class HashIndex:
         self._snapshot = None
         return case
 
-    def replace_codes(self, coder) -> None:
-        """Recompute every stored code and rebuild the buckets in place."""
+    def replace_codes(self, coder) -> int:
+        """Recompute every stored code and rebuild the buckets in place.
+        Returns how many stored codes changed."""
         if coder.r != self.r:
             raise ValueError(f"coder width {coder.r} does not match index width {self.r}")
-        self._words = coder.code_batch(self._cases)
+        old, self._words = self._words, coder.code_batch(self._cases)
         self._regroup()
         # rows and features are unchanged; keep any existing snapshot
+        return int(np.count_nonzero((old != self._words).any(axis=1)))
 
     def _level(self, key: int, t: int) -> list[np.ndarray]:
         """Bucket arrays of the codes at exactly Hamming distance t."""

@@ -14,6 +14,7 @@ from __future__ import annotations
 import csv
 import json
 from dataclasses import dataclass, field, replace
+from itertools import chain
 
 import numpy as np
 
@@ -434,24 +435,27 @@ def cases_to_csr(cases, dim: int, extra_ones_column: bool = False):
     """
     from scipy import sparse as sp
 
+    def row_lengths():
+        for case in cases:
+            if case.features.dim != dim:
+                raise DataFormatError(
+                    f"case {case.id} dim {case.features.dim} does not match {dim}")
+            yield case.features.nnz
+
     n = len(cases)
     indptr = np.zeros(n + 1, dtype=np.int64)
-    cols: list[int] = []
-    vals: list[float] = []
-    for i, case in enumerate(cases):
-        if case.features.dim != dim:
-            raise DataFormatError(
-                f"case {case.id} dim {case.features.dim} does not match {dim}")
-        cols.extend(case.features.indices)
-        vals.extend(case.features.values)
-        if extra_ones_column:
-            cols.append(dim)
-            vals.append(1.0)
-        indptr[i + 1] = len(cols)
+    np.cumsum(np.fromiter(row_lengths(), dtype=np.int64, count=n), out=indptr[1:])
+    total = int(indptr[-1])
+    cols = np.fromiter(chain.from_iterable(c.features.indices for c in cases),
+                       dtype=np.int64, count=total)
+    vals = np.fromiter(chain.from_iterable(c.features.values for c in cases),
+                       dtype=np.float64, count=total)
+    if extra_ones_column:  # close each row with the constant slot
+        ends = indptr[1:]
+        cols, vals = np.insert(cols, ends, dim), np.insert(vals, ends, 1.0)
+        indptr = indptr + np.arange(n + 1)
     return sp.csr_matrix(
-        (np.asarray(vals, dtype=np.float64), np.asarray(cols, dtype=np.int64), indptr),
-        shape=(n, dim + 1 if extra_ones_column else dim),
-    )
+        (vals, cols, indptr), shape=(n, dim + 1 if extra_ones_column else dim))
 
 
 def split(cases, train_fraction: float, seed: int):

@@ -130,7 +130,7 @@ def _forward_distinct(batch: PairBatch, params: NetworkParams):
     x = cases_to_csr([batch.cases[p] for p in positions], params.d,
                      extra_ones_column=params.hyper.first_order)
     x_sq = x.multiply(x)
-    s1, s2 = block_sums(x, x_sq, params.w_p)
+    s1, s2 = block_sums(x, x_sq, params.w_p.T, (params.w_p ** 2).T)
     z_in = interaction(s1, s2, params.v)
     layers = list(fc_stack(z_in, params))
     local = np.zeros(len(batch.cases), dtype=np.int64)

@@ -189,6 +189,51 @@ class TestRetain:
             assert idx.code(cid) == code
 
 
+class TestUpdateTelemetry:
+    def test_solve_records_update_stats(self, rng):
+        cases = random_cases(rng, 40, dim=8, nnz=3)
+        hyper = Hyperparams(k_w=4, k_v=4, r=8, l=2, hidden=4, n_u=5)
+        params = init_params(hyper, d=8, seed=1)
+        idx = HashIndex.build(cases, params)
+        eng = CbrEngine(idx, params, top_n=3, seed=2, update_epochs=3, update_lr=0.05)
+        records = []
+        for c in random_cases(rng, 5, dim=8, nnz=3, id_start=100):
+            before = {cid: idx.code(cid) for cid in idx.ids()}
+            before[c.id] = params.code(c)  # the code it is retained under
+            records.append(eng.solve(c, true_label=c.label))
+        assert [r.update is None for r in records] == [True] * 4 + [False]
+        stats = records[-1].update
+        assert stats is eng.last_update
+        # every unordered buffer pair plus each buffer case against 5 others
+        assert stats.pairs == 10 + 5 * 5
+        assert stats.loss > 0 and 1 <= stats.steps <= 3 and stats.recode_us > 0
+        changed = sum(idx.code(cid) != code for cid, code in before.items())
+        assert stats.churn == changed / len(idx)
+
+    def test_update_model_returns_the_recorded_loss(self, rng):
+        cases = random_cases(rng, 30, dim=8, nnz=3)
+        hyper = Hyperparams(k_w=4, k_v=4, r=8, l=2, hidden=4, n_u=50)
+        params = init_params(hyper, d=8, seed=1)
+        eng = CbrEngine(HashIndex.build(cases, params), params, top_n=3, seed=2)
+        for c in random_cases(rng, 4, dim=8, nnz=3, id_start=100):
+            eng.retain(c)
+        assert eng.update_model() == eng.last_update.loss
+
+    def test_zero_loss_update_takes_no_step(self, rng):
+        hyper = Hyperparams(k_w=4, k_v=4, r=8, l=2, hidden=4, n_u=4, beta=0.5)
+        params = init_params(hyper, d=6, seed=3)
+        params.layers[-1].b[:] = 60.0  # every output exactly +1: zero loss
+        params.layers[-1].w[:] = 0.0
+        idx = HashIndex.build(random_cases(rng, 12, dim=6, nnz=3, n_labels=1), params)
+        eng = CbrEngine(idx, params, top_n=2, seed=4)
+        for c in random_cases(rng, 4, dim=6, nnz=3, n_labels=1, id_start=100):
+            rec = eng.solve(c, true_label=0)
+        assert rec.updated
+        assert (rec.update.loss, rec.update.steps, rec.update.recode_us,
+                rec.update.churn) == (0.0, 0, 0.0, 0.0)
+        assert rec.update.pairs > 0
+
+
 class TestSolve:
     def test_full_cycle(self, rng):
         cases = random_cases(rng, 20, dim=6, nnz=3)

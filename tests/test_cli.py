@@ -131,6 +131,23 @@ class TestStreamCommand:
         summary = json.loads(stderr.strip().splitlines()[-1])
         assert summary["empty_retrievals"] == 2
 
+    def test_update_fields(self, tmp_path, data_file, capsys):
+        config = tmp_path / "update.cfg"
+        config.write_text(FAST_CONFIG + "n_u = 10\n")
+        code, stdout, _ = run(
+            capsys, "stream", "--data", data_file, "--config", str(config),
+            "--train-frac", "0.5", "--top-n", "3")
+        assert code == 0
+        lines = [json.loads(l) for l in stdout.strip().splitlines()]
+        fields = {"update_loss", "update_pairs", "update_steps", "recode_us", "code_churn"}
+        updated = [l for l in lines if l["updated"]]
+        assert len(updated) == 4
+        assert all(fields <= set(l) for l in updated)
+        assert not any(fields & set(l) for l in lines if not l["updated"])
+        for l in updated:
+            assert l["update_pairs"] == 45 + 10 * 10
+            assert 0.0 <= l["code_churn"] <= 1.0
+
     def test_no_update_freezes(self, data_file, capsys):
         code, stdout, stderr = run(
             capsys, "stream", "--data", data_file, "--hash", "lsh", "--bits", "8",

@@ -8,11 +8,13 @@ from casehash import (
     DataFormatError,
     HashCode,
     HashIndex,
+    Hyperparams,
     LshPlanes,
     hamming_distance,
+    init_params,
 )
 from casehash import index as index_module
-from casehash.network import inner_product
+from casehash.network import CODE_BLOCK_ROWS, inner_product
 from casehash.sparse import cases_to_csr
 
 from conftest import hamming_ball, make_case, random_cases
@@ -119,6 +121,25 @@ class TestIndexMutation:
         assert idx.code(0) == other.code(cases[0])
         got = idx.candidates_within(other.code(cases[0]), 0)
         assert cases[0].id in got
+
+    def test_replace_codes_counts_changed_codes(self, rng):
+        idx, cases, planes = small_index(rng)
+        assert idx.replace_codes(planes) == 0
+        other = LshPlanes.sample(8, 10, seed=99)
+        want = sum(planes.code(c) != other.code(c) for c in cases)
+        assert want > 0
+        assert idx.replace_codes(other) == want
+
+    def test_network_codes_over_several_blocks(self, rng):
+        cases = random_cases(rng, CODE_BLOCK_ROWS + 5, dim=10, nnz=3)
+        params = init_params(Hyperparams(k_w=6, k_v=5, r=12, l=2, hidden=7), d=10, seed=4)
+        idx = HashIndex.build(cases, params)
+        assert all(idx.code(c.id) == params.code(c) for c in cases)
+        before = {c.id: idx.code(c.id) for c in cases}
+        params.layers[-1].b += rng.normal(scale=0.3, size=12)
+        changed = idx.replace_codes(params)
+        assert all(idx.code(c.id) == params.code(c) for c in cases)
+        assert 0 < changed == sum(idx.code(cid) != code for cid, code in before.items())
 
 
 class TestCandidates:

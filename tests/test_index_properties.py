@@ -126,7 +126,8 @@ def run_operations(r, initial, ops):
             specs = op[1]
             new = {cid: make_code(r, specs[k % len(specs)])
                    for k, cid in enumerate(sorted(stored))}
-            idx.replace_codes(TableCoder(r, new))
+            changed = idx.replace_codes(TableCoder(r, new))
+            assert changed == sum(new[cid] != code for cid, (_, code) in stored.items())
             stored = {cid: (case, new[cid]) for cid, (case, _) in stored.items()}
     return idx, stored
 

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -5,6 +7,7 @@ from casehash import (
     DataFormatError,
     DivergenceError,
     HashCode,
+    HashIndex,
     Hyperparams,
     LshPlanes,
     forward_batch,
@@ -14,6 +17,7 @@ from casehash import (
     save_checkpoint,
 )
 from casehash.network import (
+    CODE_BLOCK_ROWS,
     FcLayer,
     NetworkParams,
     case_sums,
@@ -146,6 +150,67 @@ class TestCodeBatch:
         assert [tuple(row) for row in words.tolist()] == [coder.code(c).words for c in cases]
         empty = coder.code_batch([])
         assert empty.dtype == np.uint64 and empty.shape == (0, (r + 63) // 64)
+
+
+B = CODE_BLOCK_ROWS
+
+
+@pytest.fixture(scope="module")
+def block_cases():
+    """2B+3 random cases: enough rows for two whole blocks and a partial one."""
+    return random_cases(np.random.default_rng(77), 2 * B + 3, dim=12, nnz=4)
+
+
+@pytest.fixture(scope="module", params=[False, True], ids=["plain", "first_order"])
+def block_reference(request, block_cases):
+    """Parameters and, per case, the one-row path's output and code."""
+    hyper = Hyperparams(k_w=6, k_v=5, r=10, l=2, hidden=7, first_order=request.param)
+    params = init_params(hyper, d=12, seed=9)
+    outputs = np.stack([case_output(c, params) for c in block_cases])
+    codes = [hash_case(c, params).words for c in block_cases]
+    return params, outputs, codes
+
+
+class TestBlockedForward:
+    @pytest.mark.parametrize("n", [0, 1, B - 1, B, B + 1, 2 * B + 3])
+    def test_rows_match_single_path(self, block_cases, block_reference, n):
+        params, outputs, codes = block_reference
+        out = forward_batch(block_cases[:n], params)
+        assert out.shape == (n, 10)
+        assert np.allclose(out, outputs[:n], rtol=1e-12, atol=1e-12)
+        words = params.code_batch(block_cases[:n])
+        assert [tuple(row) for row in words.tolist()] == codes[:n]
+
+    def test_non_finite_output_in_later_block(self, block_cases, small_params):
+        # one case in the second block overflows: inf - inf in the interaction
+        cases = list(block_cases[:B + 2])
+        cases[B + 1] = make_case(12, [(0, 1e200), (3, 1e200)], case_id=cases[B + 1].id)
+        forward_batch(cases[:B + 1], small_params)  # the rows before it are fine
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(DivergenceError):
+                forward_batch(cases, small_params)
+            with pytest.raises(DivergenceError):
+                small_params.code_batch(cases)
+            with pytest.raises(DivergenceError):
+                HashIndex.build(cases, small_params)
+
+    def test_memory_is_bounded_by_the_block(self):
+        # default widths, so a block's (rows, 128) intermediates dominate
+        params = init_params(Hyperparams(), d=40, seed=1)
+        one = random_cases(np.random.default_rng(5), B, dim=40, nnz=5)
+        eight = one * 8
+
+        def traced_peak(cases):
+            params.code_batch(cases[:8])  # warm up outside the trace
+            tracemalloc.start()
+            try:
+                base = tracemalloc.get_traced_memory()[0]
+                params.code_batch(cases)
+                return tracemalloc.get_traced_memory()[1] - base
+            finally:
+                tracemalloc.stop()
+
+        assert traced_peak(eight) < 2.5 * traced_peak(one)
 
 
 class TestHashCode:

@@ -265,3 +265,23 @@ class TestCsr:
     def test_dim_mismatch(self):
         with pytest.raises(DataFormatError):
             cases_to_csr([make_case(3, [(1, 2.0)])], 5)
+
+    def test_dim_mismatch_names_the_case(self):
+        cases = [make_case(5, [(1, 2.0)], case_id=3), make_case(4, [], case_id=8)]
+        with pytest.raises(DataFormatError, match="case 8 dim 4"):
+            cases_to_csr(cases, 5)
+
+    @pytest.mark.parametrize("extra", [False, True])
+    def test_arrays_row_by_row(self, extra):
+        # empty rows first, between and last, where the ones column closes them
+        rows = [[], [(0, 1.5), (3, -2.0)], [], [(2, 0.25)], []]
+        x = cases_to_csr([make_case(4, r, case_id=k) for k, r in enumerate(rows)], 4,
+                         extra_ones_column=extra)
+        tail = [(4, 1.0)] if extra else []
+        want = [r + tail for r in rows]
+        assert x.shape == (5, 5 if extra else 4)
+        assert x.indptr.tolist() == np.cumsum([0] + [len(r) for r in want]).tolist()
+        assert x.indices.tolist() == [i for r in want for i, _ in r]
+        assert x.data.tolist() == [v for r in want for _, v in r]
+        assert x.data.dtype == np.float64
+        assert cases_to_csr([], 4, extra_ones_column=extra).shape == (0, 5 if extra else 4)
