@@ -3,8 +3,8 @@
 One standard-normal hyperplane per bit; a case's bit is the sign of its
 feature vector projected onto that plane, with sign(0) mapped to +1. Codes
 are scale invariant: c * x (c > 0) hashes identically to x. The class
-mirrors the learned coder's interface (r, code, code_batch) so it drops
-into the same index and engine unchanged.
+mirrors the learned coder's interface (r, code, code_batch, code_rows) so
+it drops into the same index and engine unchanged.
 """
 
 from __future__ import annotations
@@ -53,4 +53,11 @@ class LshPlanes:
         return HashCode.from_signs(self.project(case))
 
     def code_batch(self, cases) -> np.ndarray:
-        return pack_rows(np.asarray(cases_to_csr(cases, self.dim) @ self.planes.T))
+        return self.code_rows(cases_to_csr(cases, self.dim))
+
+    def code_rows(self, x) -> np.ndarray:
+        """Packed codes of the rows of an (n, dim) CSR feature matrix."""
+        if x.shape[1] != self.dim:
+            raise DataFormatError(
+                f"feature matrix has {x.shape[1]} columns, planes dim is {self.dim}")
+        return pack_rows(np.asarray(x @ self.planes.T))

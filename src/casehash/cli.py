@@ -283,12 +283,18 @@ def cmd_stream(args, cfg: RunConfig) -> int:
                        update_epochs=cfg.update_epochs,
                        update_lr=cfg.update_lr,
                        no_update=args.no_update, seed=args.seed)
-    n_correct = n_empty = 0
+    n_correct = n_empty = n_truncated = 0
+    # the per-solve phase times the summary gives the p50 and p99 of: the
+    # first three over every solve, retain_us over the solves that retained
+    # without updating, update_us over the solves that updated
+    phase_us = {name: [] for name in
+                ("hash_us", "retrieve_us", "reuse_us", "retain_us", "update_us")}
     for case in rest:
         rec = engine.solve(case, true_label=case.label)
         n_correct += 1 if rec.correct else 0
         n_empty += rec.suggestion.label is None
         retrieval = rec.suggestion.retrieval
+        n_truncated += retrieval.truncated
         line = {
             "id": case.id,
             "predicted": rec.suggestion.label,
@@ -311,13 +317,25 @@ def cmd_stream(args, cfg: RunConfig) -> int:
                         recode_us=round(rec.update.recode_us, 1),
                         code_churn=rec.update.churn)
         print(json.dumps(line))
-    print(json.dumps({
+        for name in ("hash_us", "retrieve_us", "reuse_us"):
+            phase_us[name].append(line[name])
+        if rec.updated:
+            phase_us["update_us"].append(line["update_us"])
+        elif rec.retained:
+            phase_us["retain_us"].append(line["retain_us"])
+    summary = {
         "streamed": len(rest),
         "accuracy": n_correct / len(rest),
         "empty_retrievals": n_empty,
+        "truncated_retrievals": n_truncated,
         "model_updates": engine.n_updates,
         "final_cases": len(idx),
-    }), file=sys.stderr)
+    }
+    for name, values in phase_us.items():
+        for q in (50, 99):
+            summary[f"{name}_p{q}"] = (round(float(np.percentile(values, q)), 1)
+                                       if values else None)
+    print(json.dumps(summary), file=sys.stderr)
     return 0
 
 

@@ -173,13 +173,14 @@ class HashIndex:
         return case
 
     def replace_codes(self, coder) -> int:
-        """Recompute every stored code and rebuild the buckets in place.
+        """Recompute every stored code and rebuild the buckets in place;
+        coder must provide code_rows(x) for the (n, dim) CSR feature matrix.
         Returns how many stored codes changed."""
         if coder.r != self.r:
             raise ValueError(f"coder width {coder.r} does not match index width {self.r}")
-        old, self._words = self._words, coder.code_batch(self._cases)
+        # code the snapshot's rows, and keep it: rows and features are unchanged
+        old, self._words = self._words, coder.code_rows(self._matrix()[1])
         self._regroup()
-        # rows and features are unchanged; keep any existing snapshot
         return int(np.count_nonzero((old != self._words).any(axis=1)))
 
     def _level(self, key: int, t: int) -> list[np.ndarray]:

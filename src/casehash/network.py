@@ -19,24 +19,44 @@ gathers its active columns (case_sums). Codes are packed by one
 np.packbits body (pack_rows) into a uint64 (n, ceil(r/64)) array, the form
 code_batch returns and the index stores, and unpacked by unpack_words.
 
-forward_batch converts its cases to one CSR matrix, then runs the head on
-CODE_BLOCK_ROWS rows at a time into a preallocated (n, r) output. Beyond
-the CSR matrix and the output it holds one block's intermediates, whatever
-n is, and each block's working set stays near the cache.
+forward_rows runs the head on the rows of an (n, d) CSR matrix, a block of
+rows at a time, each block writing its own slice of a preallocated (n, r)
+output; forward_batch and code_batch first convert their cases to that
+matrix, and code_rows lets an index code the matrix it already holds. The
+constant slot of first_order is added to the running sums after the
+product, as the last term a trailing ones column would add, so the matrix
+needs no extra column. Beyond the CSR matrix and the output a block holds
+only its own intermediates, whatever n is.
 
-forward_batch and hash_case are pure reads of the parameters and safe to
-run concurrently; training mutates parameters under exclusive access.
+The blocks are independent and their heavy steps (scipy's CSR product, the
+numpy elementwise ops, the BLAS GEMMs) release the GIL. When BLAS is pinned
+to one thread, code_workers() is the number of cores the process may use,
+and the calling thread and the threads of a process-wide pool share the
+blocks, one thread per core, in blocks of CODE_BLOCK_ROWS // workers rows,
+so the rows in flight stay CODE_BLOCK_ROWS. Otherwise, and for a single
+block, the calling thread runs them one after another, CODE_BLOCK_ROWS rows
+at a time. A row's arithmetic does not depend on the rows blocked with it,
+so outputs and codes are bit-identical on either path. The pool is made on
+first use, and a forked child makes its own.
+
+forward_rows, forward_batch and hash_case are pure reads of the parameters
+and safe to run concurrently; training mutates parameters under exclusive
+access.
 """
 
 from __future__ import annotations
 
+import contextvars
 import math
 import os
 import struct
+import threading
+from concurrent.futures import ThreadPoolExecutor, wait
 from dataclasses import dataclass
 
 import numpy as np
 
+from . import sparse
 from .sparse import DataFormatError, SparseCase
 
 CHECKPOINT_MAGIC = b"CHNV"
@@ -44,9 +64,14 @@ CHECKPOINT_VERSION = 1
 
 _WORD_BITS = 64
 
-# Rows per forward_batch block. A 128-wide float64 intermediate of one block
-# is 4 MB; on a 2-core Xeon (2 MB L2 per core) blocks of 1024-4096 rows ran
-# alike, 8192 rows and the whole batch at once ran slower.
+# Rows forward_rows has in flight: one block of this many rows when serial,
+# one block of CODE_BLOCK_ROWS // workers rows per thread when parallel, so
+# the threads hold no more block intermediates than the serial path. A
+# 128-wide float64 intermediate of 4096 rows is 4 MB. On a 2-core Xeon (2 MB
+# L2 per core), serial blocks of 1024-4096 rows ran alike, 8192 rows and the
+# whole batch at once ran slower. With BLAS on one thread, two threads coded
+# the 100k-case latency fixture's CSR matrix in 0.29-0.31 s at 512- to
+# 4096-row blocks, against about 0.55 s serial.
 CODE_BLOCK_ROWS = 4096
 
 
@@ -132,7 +157,11 @@ class NetworkParams:
         return hash_case(case, self)
 
     def code_batch(self, cases) -> np.ndarray:
-        return pack_rows(forward_batch(cases, self))
+        return self.code_rows(sparse.cases_to_csr(cases, self.d))
+
+    def code_rows(self, x) -> np.ndarray:
+        """Packed codes of the rows of an (n, d) CSR feature matrix."""
+        return pack_rows(forward_rows(x, self))
 
 
 @dataclass(frozen=True)
@@ -222,10 +251,12 @@ def case_sums(case: SparseCase, params: NetworkParams):
 
 
 def block_sums(x, x_sq, w_p_t: np.ndarray, w_p_sq_t: np.ndarray):
-    """S1 = x w_p^T and S2 = x_sq (w_p^2)^T for a CSR block x of cases
-    (a ones column appended for first_order) and its elementwise square,
-    given w_p^T and (w_p^2)^T. scipy copies a non-contiguous operand on
-    every product, so a caller with many blocks passes contiguous ones."""
+    """S1 = x w_p^T and S2 = x_sq (w_p^2)^T for a CSR block x of cases and
+    its elementwise square, given w_p^T and (w_p^2)^T with one row per
+    column of x. For first_order, training appends a ones column to x;
+    forward_rows adds that slot's row after the product instead. scipy
+    copies a non-contiguous operand on every product, so a caller with
+    many blocks passes contiguous ones."""
     return x @ w_p_t, x_sq @ w_p_sq_t
 
 
@@ -264,21 +295,99 @@ def relaxed_output(z: np.ndarray, params: NetworkParams) -> np.ndarray:
     return out
 
 
-def forward_batch(cases, params: NetworkParams) -> np.ndarray:
-    """Relaxed outputs for many cases at once, shape (n, r), computed
-    CODE_BLOCK_ROWS rows at a time from one CSR matrix."""
-    from .sparse import cases_to_csr
+def code_workers() -> int:
+    """Threads forward_rows spreads its blocks over: every core this process
+    may run on when BLAS is pinned to one thread, else 1.
 
-    x = cases_to_csr(cases, params.d, extra_ones_column=params.hyper.first_order)
+    OpenBLAS reads OPENBLAS_NUM_THREADS and MKL reads MKL_NUM_THREADS, each
+    falling back on OMP_NUM_THREADS, so BLAS counts as pinned when both
+    resolve to 1. A BLAS left to its own thread count already spreads each
+    GEMM over the cores; a pool on top of a 2-thread OpenBLAS coded 100k
+    cases 1.1-1.2x slower than one thread did.
+    """
+    omp = os.environ.get("OMP_NUM_THREADS")
+    if any(os.environ.get(var, omp) != "1"
+           for var in ("OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")):
+        return 1
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+_pool: ThreadPoolExecutor | None = None
+_pool_lock = threading.Lock()
+
+
+def _block_pool(threads: int) -> ThreadPoolExecutor:
+    """The process-wide pool, made with the given thread count on first use."""
+    global _pool
+    with _pool_lock:
+        if _pool is None:
+            _pool = ThreadPoolExecutor(max_workers=threads,
+                                       thread_name_prefix="casehash-code")
+        return _pool
+
+
+def _forget_pool() -> None:
+    """A forked child has none of its parent's threads, so it starts over."""
+    global _pool, _pool_lock
+    _pool, _pool_lock = None, threading.Lock()
+
+
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_forget_pool)
+
+
+def forward_rows(x, params: NetworkParams) -> np.ndarray:
+    """Relaxed outputs for the rows of an (n, d) CSR matrix, shape (n, r),
+    computed a block of rows at a time on code_workers() threads: the
+    caller's and, past the first, the pool's."""
+    d = params.d
+    if x.shape[1] != d:
+        raise DataFormatError(f"feature matrix has {x.shape[1]} columns, network dim is {d}")
     w_p_t = np.ascontiguousarray(params.w_p.T)
     w_p_sq_t = np.square(w_p_t)
     out = np.empty((x.shape[0], params.r))
-    for start in range(0, x.shape[0], CODE_BLOCK_ROWS):
-        block = x[start:start + CODE_BLOCK_ROWS]
-        s1, s2 = block_sums(block, block.multiply(block), w_p_t, w_p_sq_t)
+
+    def run_block(start: int) -> None:
+        block = x[start:start + rows]
+        s1, s2 = block_sums(block, block.multiply(block), w_p_t[:d], w_p_sq_t[:d])
+        if params.hyper.first_order:
+            s1 += w_p_t[d]
+            s2 += w_p_sq_t[d]
         out[start:start + block.shape[0]] = relaxed_output(
             interaction(s1, s2, params.v), params)
+
+    def run_blocks(block_starts) -> None:
+        for start in block_starts:
+            run_block(start)
+
+    workers = code_workers()
+    rows = max(CODE_BLOCK_ROWS // workers, 1)
+    starts = range(0, x.shape[0], rows)
+    if workers == 1 or len(starts) == 1:
+        run_blocks(starts)
+        return out
+    # the caller takes every workers-th block itself, so the pool needs one
+    # thread fewer (each thread costs resident memory for its own malloc
+    # arena and BLAS buffers); pool threads run in a copy of the caller's
+    # context, so np.errstate holds there too
+    pool = _block_pool(workers - 1)
+    futures = [pool.submit(contextvars.copy_context().run, run_blocks, starts[k::workers])
+               for k in range(1, workers)]
+    try:
+        run_blocks(starts[::workers])
+    finally:
+        wait(futures)  # no thread writes to out once this returns
+    for future in futures:
+        future.result()  # re-raises a block's DivergenceError
     return out
+
+
+def forward_batch(cases, params: NetworkParams) -> np.ndarray:
+    """Relaxed outputs for many cases at once, shape (n, r), from one CSR
+    matrix of their features."""
+    return forward_rows(sparse.cases_to_csr(cases, params.d), params)
 
 
 def hash_case(case: SparseCase, params: NetworkParams) -> HashCode:

@@ -134,7 +134,7 @@ class TestStreamCommand:
     def test_update_fields(self, tmp_path, data_file, capsys):
         config = tmp_path / "update.cfg"
         config.write_text(FAST_CONFIG + "n_u = 10\n")
-        code, stdout, _ = run(
+        code, stdout, stderr = run(
             capsys, "stream", "--data", data_file, "--config", str(config),
             "--train-frac", "0.5", "--top-n", "3")
         assert code == 0
@@ -148,6 +148,22 @@ class TestStreamCommand:
             assert l["update_pairs"] == 45 + 10 * 10
             assert 0.0 <= l["code_churn"] <= 1.0
 
+        # the summary's phase percentiles come from the lines' phase times
+        summary = json.loads(stderr.strip().splitlines()[-1])
+        assert summary["truncated_retrievals"] == sum(l["truncated"] for l in lines)
+        samples = {
+            "hash_us": [l["hash_us"] for l in lines],
+            "retrieve_us": [l["retrieve_us"] for l in lines],
+            "reuse_us": [l["reuse_us"] for l in lines],
+            "retain_us": [l["retain_us"] for l in lines if l["retained"] and not l["updated"]],
+            "update_us": [l["update_us"] for l in updated],
+        }
+        assert len(samples["retain_us"]) == 36
+        for name, values in samples.items():
+            for q in (50, 99):
+                assert summary[f"{name}_p{q}"] == round(float(np.percentile(values, q)), 1)
+            assert min(values) <= summary[f"{name}_p50"] <= summary[f"{name}_p99"]
+
     def test_no_update_freezes(self, data_file, capsys):
         code, stdout, stderr = run(
             capsys, "stream", "--data", data_file, "--hash", "lsh", "--bits", "8",
@@ -155,6 +171,10 @@ class TestStreamCommand:
         assert code == 0
         summary = json.loads(stderr.strip().splitlines()[-1])
         assert summary["final_cases"] == 40  # nothing retained
+        # no solve retained or updated, so those phases have no percentiles
+        assert summary["truncated_retrievals"] == 0
+        assert summary["retain_us_p50"] is None and summary["update_us_p99"] is None
+        assert summary["hash_us_p50"] is not None
         assert all(not json.loads(l)["retained"] for l in stdout.strip().splitlines())
 
 

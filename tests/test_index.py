@@ -130,6 +130,37 @@ class TestIndexMutation:
         assert want > 0
         assert idx.replace_codes(other) == want
 
+    @pytest.mark.parametrize("kind", ["network", "first_order", "lsh"])
+    def test_replace_codes_codes_the_feature_matrix(self, rng, monkeypatch, kind):
+        idx, cases, planes = small_index(rng)
+        if kind == "lsh":
+            coder = LshPlanes.sample(8, 10, seed=99)
+        else:
+            hyper = Hyperparams(k_w=6, k_v=5, r=8, l=2, hidden=7,
+                                first_order=kind == "first_order")
+            coder = init_params(hyper, d=10, seed=4)
+        extra = make_case(10, [(2, 0.5)], case_id=30)
+        idx.insert(extra, planes.code(extra))  # drops the feature snapshot
+        cases = cases + [extra]
+        idx.replace_codes(coder)
+        assert [idx.code(c.id).words for c in cases] == [
+            tuple(row) for row in coder.code_batch(cases).tolist()]
+
+        calls = []
+        real = index_module.cases_to_csr
+        monkeypatch.setattr(index_module, "cases_to_csr",
+                            lambda *args, **kw: calls.append(args) or real(*args, **kw))
+        got = idx.retrieve(cases[0], idx.code(cases[0].id), top_n=3)
+        assert got.ids and calls == []  # the recode's snapshot serves it
+
+    def test_replace_codes_checks_the_coder_dim(self, rng):
+        idx, _, _ = small_index(rng)
+        with pytest.raises(DataFormatError):
+            idx.replace_codes(LshPlanes.sample(8, 11, seed=1))
+        with pytest.raises(DataFormatError):
+            idx.replace_codes(init_params(Hyperparams(k_w=6, k_v=5, r=8, l=2, hidden=7),
+                                          d=11, seed=1))
+
     def test_network_codes_over_several_blocks(self, rng):
         cases = random_cases(rng, CODE_BLOCK_ROWS + 5, dim=10, nnz=3)
         params = init_params(Hyperparams(k_w=6, k_v=5, r=12, l=2, hidden=7), d=10, seed=4)

@@ -17,6 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from casehash import HashCode, HashIndex, SparseCase, SparseVector, hamming_distance
+from casehash.sparse import cases_to_csr
 
 DIM = 5
 CENTRES = {6: (0b101100, 0b010011),
@@ -44,15 +45,22 @@ def make_case(case_id, feats, label=0) -> SparseCase:
 
 
 class TableCoder:
-    """A coder whose codes come from a table keyed by case id."""
+    """A coder whose codes come from a table keyed by case id. code_rows
+    codes an index's feature matrix, given the cases in its row order, and
+    checks that the matrix rows hold those cases' features."""
 
-    def __init__(self, r, table):
+    def __init__(self, r, table, rows=()):
         self.r = r
         self.table = table
+        self.rows = list(rows)
 
     def code_batch(self, cases) -> np.ndarray:
         return np.array([self.table[c.id].words for c in cases],
                         dtype=np.uint64).reshape(len(cases), (self.r + 63) // 64)
+
+    def code_rows(self, x) -> np.ndarray:
+        assert (x != cases_to_csr(self.rows, DIM)).nnz == 0
+        return self.code_batch(self.rows)
 
 
 def operations(r):
@@ -126,7 +134,9 @@ def run_operations(r, initial, ops):
             specs = op[1]
             new = {cid: make_code(r, specs[k % len(specs)])
                    for k, cid in enumerate(sorted(stored))}
-            changed = idx.replace_codes(TableCoder(r, new))
+            # stored keeps insertion order, which is the index's row order
+            rows = [case for case, _ in stored.values()]
+            changed = idx.replace_codes(TableCoder(r, new, rows))
             assert changed == sum(new[cid] != code for cid, (_, code) in stored.items())
             stored = {cid: (case, new[cid]) for cid, (case, _) in stored.items()}
     return idx, stored

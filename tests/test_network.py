@@ -1,7 +1,18 @@
+import json
+import os
+import subprocess
+import sys
+import threading
+import time
 import tracemalloc
+import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
+
+import casehash
+from casehash import network
 
 from casehash import (
     DataFormatError,
@@ -26,6 +37,8 @@ from casehash.network import (
     squash,
     squash_grad_from_output,
 )
+
+from casehash.sparse import cases_to_csr
 
 from conftest import case_output, interact, interact_bruteforce, make_case, random_cases
 
@@ -171,28 +184,49 @@ def block_reference(request, block_cases):
     return params, outputs, codes
 
 
+def force_workers(monkeypatch, count):
+    """Run forward_rows serially (1) or on a pool of count workers."""
+    monkeypatch.setattr(network, "code_workers", lambda: count)
+
+
 class TestBlockedForward:
     @pytest.mark.parametrize("n", [0, 1, B - 1, B, B + 1, 2 * B + 3])
-    def test_rows_match_single_path(self, block_cases, block_reference, n):
+    def test_rows_match_single_path(self, block_cases, block_reference, monkeypatch, n):
         params, outputs, codes = block_reference
-        out = forward_batch(block_cases[:n], params)
-        assert out.shape == (n, 10)
-        assert np.allclose(out, outputs[:n], rtol=1e-12, atol=1e-12)
-        words = params.code_batch(block_cases[:n])
-        assert [tuple(row) for row in words.tolist()] == codes[:n]
+        got = []
+        for count in (1, 2):
+            force_workers(monkeypatch, count)
+            out = forward_batch(block_cases[:n], params)
+            assert out.shape == (n, 10)
+            assert np.allclose(out, outputs[:n], rtol=1e-12, atol=1e-12)
+            words = params.code_batch(block_cases[:n])
+            assert [tuple(row) for row in words.tolist()] == codes[:n]
+            got.append(out)
+        assert np.array_equal(got[0], got[1])  # the pool is bit-identical
 
-    def test_non_finite_output_in_later_block(self, block_cases, small_params):
+    def test_code_rows_equals_code_batch(self, block_cases, block_reference):
+        params, _, _ = block_reference
+        x = cases_to_csr(block_cases, 12)
+        assert np.array_equal(params.code_rows(x), params.code_batch(block_cases))
+        with pytest.raises(DataFormatError):
+            params.code_rows(cases_to_csr(block_cases[:3], 12, extra_ones_column=True))
+
+    def test_non_finite_output_in_later_block(self, block_cases, small_params, monkeypatch):
         # one case in the second block overflows: inf - inf in the interaction
         cases = list(block_cases[:B + 2])
         cases[B + 1] = make_case(12, [(0, 1e200), (3, 1e200)], case_id=cases[B + 1].id)
-        forward_batch(cases[:B + 1], small_params)  # the rows before it are fine
-        with np.errstate(over="ignore", invalid="ignore"):
-            with pytest.raises(DivergenceError):
-                forward_batch(cases, small_params)
-            with pytest.raises(DivergenceError):
-                small_params.code_batch(cases)
-            with pytest.raises(DivergenceError):
-                HashIndex.build(cases, small_params)
+        for count in (1, 2):
+            force_workers(monkeypatch, count)
+            forward_batch(cases[:B + 1], small_params)  # the rows before it are fine
+            # the caller's errstate holds in the pool's threads: no warning escapes
+            with np.errstate(over="ignore", invalid="ignore"), warnings.catch_warnings():
+                warnings.simplefilter("error", RuntimeWarning)
+                with pytest.raises(DivergenceError):
+                    forward_batch(cases, small_params)
+                with pytest.raises(DivergenceError):
+                    small_params.code_batch(cases)
+                with pytest.raises(DivergenceError):
+                    HashIndex.build(cases, small_params)
 
     def test_memory_is_bounded_by_the_block(self):
         # default widths, so a block's (rows, 128) intermediates dominate
@@ -211,6 +245,111 @@ class TestBlockedForward:
                 tracemalloc.stop()
 
         assert traced_peak(eight) < 2.5 * traced_peak(one)
+
+
+class TestCodePool:
+    @pytest.mark.parametrize("env, pinned", [
+        ({}, False),
+        ({"OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1", "MKL_NUM_THREADS": "1"}, True),
+        ({"OMP_NUM_THREADS": "1"}, True),
+        ({"OPENBLAS_NUM_THREADS": "1", "MKL_NUM_THREADS": "1"}, True),
+        ({"OPENBLAS_NUM_THREADS": "1"}, False),
+        ({"OMP_NUM_THREADS": "1", "MKL_NUM_THREADS": "4"}, False),
+        ({"OMP_NUM_THREADS": "2", "OPENBLAS_NUM_THREADS": "1"}, False),
+        ({"OPENBLAS_NUM_THREADS": "2", "OMP_NUM_THREADS": "2", "MKL_NUM_THREADS": "2"}, False),
+    ])
+    def test_workers_follow_the_blas_variables(self, monkeypatch, env, pinned):
+        for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+            monkeypatch.delenv(var, raising=False)
+        for var, value in env.items():
+            monkeypatch.setenv(var, value)
+        cores = len(os.sched_getaffinity(0))
+        assert network.code_workers() == (cores if pinned else 1)
+
+    def test_concurrent_callers_get_identical_codes(self, block_cases, block_reference,
+                                                    monkeypatch):
+        force_workers(monkeypatch, 2)
+        params, _, codes = block_reference
+        want = np.array(codes, dtype=np.uint64)
+        results = [None] * 4
+
+        def code(k):
+            results[k] = params.code_batch(block_cases)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=code, args=(k,)) for k in range(len(results))]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert all(np.array_equal(got, want) for got in results)
+
+    @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
+    def test_forked_child_makes_its_own_pool(self, block_cases, block_reference,
+                                             monkeypatch):
+        force_workers(monkeypatch, 2)
+        params, _, codes = block_reference
+        want = np.array(codes, dtype=np.uint64)
+        params.code_batch(block_cases)
+        assert network._pool is not None
+        pid = os.fork()
+        if pid == 0:  # the child: report through the exit status only
+            status = 1
+            try:
+                fresh = network._pool is None
+                same = np.array_equal(params.code_batch(block_cases), want)
+                status = 0 if fresh and same and network._pool is not None else 1
+            finally:
+                os._exit(status)
+        deadline = time.monotonic() + 120
+        while True:
+            done, status = os.waitpid(pid, os.WNOHANG)
+            if done or time.monotonic() > deadline:
+                break
+            time.sleep(0.05)
+        if not done:
+            os.kill(pid, 9)
+            os.waitpid(pid, 0)
+        assert done and os.waitstatus_to_exitcode(status) == 0
+
+
+CHILD_CODES = """
+import json, sys
+import numpy as np
+from casehash import Hyperparams, init_params, network
+from conftest import random_cases
+cases = random_cases(np.random.default_rng(3), 3 * network.CODE_BLOCK_ROWS + 5,
+                     dim=30, nnz=5)
+words = init_params(Hyperparams(r=24), d=30, seed=2).code_batch(cases)
+print(json.dumps({"workers": network.code_workers(), "pool": network._pool is not None,
+                  "codes": words.tobytes().hex()}))
+"""
+
+
+def test_pinned_blas_codes_on_the_pool(monkeypatch):
+    """With the BLAS variables at 1, code_batch runs its blocks on the pool
+    and gives the serial path's codes byte for byte."""
+    if len(os.sched_getaffinity(0)) < 2:
+        pytest.skip("the pool engages only with two or more cores")
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1",
+               MKL_NUM_THREADS="1")
+    env["PYTHONPATH"] = os.pathsep.join([str(Path(casehash.__file__).parents[1]),
+                                         str(Path(__file__).parent)])
+    proc = subprocess.run([sys.executable, "-c", CHILD_CODES], env=env,
+                          capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    child = json.loads(proc.stdout.splitlines()[-1])
+    assert child["workers"] >= 2 and child["pool"]
+
+    force_workers(monkeypatch, 1)
+    cases = random_cases(np.random.default_rng(3), 3 * B + 5, dim=30, nnz=5)
+    serial = init_params(Hyperparams(r=24), d=30, seed=2).code_batch(cases)
+    assert child["codes"] == serial.tobytes().hex()
 
 
 class TestHashCode:
