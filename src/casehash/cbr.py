@@ -124,7 +124,7 @@ class CbrEngine:
         votes: dict[int, int] = {}
         dist_sum: dict[int, float] = {}
         for cid, dist in zip(result.ids, result.distances):
-            lab = self.index.case(cid).label
+            lab = self.index.label(cid)
             votes[lab] = votes.get(lab, 0) + 1
             dist_sum[lab] = dist_sum.get(lab, 0.0) + float(dist)
         if votes:

@@ -161,7 +161,7 @@ def evaluate(index: HashIndex, coder, queries, top_n: int = 10,
                        no_update=True)
     by_label: dict[int, set] = {}
     for cid in index.ids():
-        by_label.setdefault(index.case(cid).label, set()).add(cid)
+        by_label.setdefault(index.label(cid), set()).add(cid)
 
     y_true, y_pred, score_maps = [], [], []
     relevants, retrieveds = [], []

@@ -1,8 +1,11 @@
 """Hamming-bucket index over binary case codes with exact rerank.
 
-Row k holds the k-th stored case, its code as row k of one packed uint64
-(n, ceil(r/64)) array, the array code_batch returns, and row k of the
-feature snapshot, a CSR matrix; only code(id) builds a HashCode. Each bucket
+Row k holds the k-th stored case, its label as entry k of an int64 array,
+its code as row k of one packed uint64 (n, ceil(r/64)) array, the array
+code_batch returns, and row k of the feature snapshot, a CSR matrix; only
+code(id) builds a HashCode. A loaded index keeps its rows only in that
+snapshot, checked as one block, and builds a SparseCase only when case(id)
+asks, until its first insert or remove builds the case list once. Each bucket
 is an ascending int64 array of the rows that share one code; an insert
 appends one row to the code array and one to a bucket, and a remove or a
 recode regroups every bucket in bulk. A query gathers candidates by
@@ -20,7 +23,7 @@ from __future__ import annotations
 import os
 import time
 from dataclasses import dataclass
-from itertools import chain, combinations
+from itertools import combinations
 
 import numpy as np
 from scipy import sparse as sp
@@ -86,9 +89,11 @@ class HashIndex:
             raise ValueError("r and dim must be positive")
         self.r = r
         self.dim = dim
-        # row k: _cases[k], its code _words[k] and snapshot row k; _row maps
-        # each id to its row and lists the ids in row order
-        self._cases: list[SparseCase] = []
+        # row k: _cases[k], _labels[k], its code _words[k] and snapshot row k;
+        # _row maps each id to its row and lists the ids in row order. A loaded
+        # index has no case list (None) until its first insert or remove.
+        self._cases: list[SparseCase] | None = []
+        self._labels = np.zeros(0, dtype=np.int64)
         self._words = np.zeros((0, (r + 63) // 64), dtype=np.uint64)
         self._row: dict[int, int] = {}
         # code key -> ascending row positions; never empty
@@ -97,13 +102,19 @@ class HashIndex:
         self._snapshot = None  # (row ids, csr matrix, row squared norms)
 
     def __len__(self) -> int:
-        return len(self._cases)
+        return len(self._row)
 
     def __contains__(self, case_id: int) -> bool:
         return case_id in self._row
 
     def case(self, case_id: int) -> SparseCase:
-        return self._cases[self._row[case_id]]
+        row = self._row[case_id]
+        if self._cases is None:
+            return self._snapshot_cases(row, row + 1)[0]
+        return self._cases[row]
+
+    def label(self, case_id: int) -> int:
+        return int(self._labels[self._row[case_id]])
 
     def code(self, case_id: int) -> HashCode:
         # Python ints, since _code_key shifts word i by 64 * i
@@ -133,6 +144,7 @@ class HashIndex:
         idx = cls(r=coder.r, dim=cases[0].features.dim)
         for case in cases:
             idx._append(case)
+        idx._labels = np.fromiter((c.label for c in cases), dtype=np.int64, count=len(cases))
         idx._words = coder.code_batch(cases)
         idx._regroup()
         return idx
@@ -143,8 +155,28 @@ class HashIndex:
         if case.features.dim != self.dim:
             raise DataFormatError(
                 f"case dim {case.features.dim} does not match index dim {self.dim}")
-        self._row[case.id] = len(self._cases)
-        self._cases.append(case)
+        cases = self._own_cases()
+        self._row[case.id] = len(cases)
+        cases.append(case)
+
+    def _own_cases(self) -> list[SparseCase]:
+        """The case list; a loaded index builds it from its snapshot once."""
+        if self._cases is None:
+            self._cases = self._snapshot_cases(0, len(self))
+        return self._cases
+
+    def _snapshot_cases(self, start: int, stop: int) -> list[SparseCase]:
+        """The cases of snapshot rows start to stop - 1."""
+        ids, x, _ = self._snapshot
+        bounds = x.indptr[start:stop + 1].tolist()
+        lo = bounds[0]
+        ind, val = x.indices[lo:bounds[-1]].tolist(), x.data[lo:bounds[-1]].tolist()
+        return [SparseCase(id=cid,
+                           features=SparseVector(dim=self.dim, indices=tuple(ind[a - lo:b - lo]),
+                                                 values=tuple(val[a - lo:b - lo])),
+                           label=label)
+                for cid, a, b, label in zip(ids[start:stop].tolist(), bounds, bounds[1:],
+                                            self._labels[start:stop].tolist())]
 
     def _regroup(self) -> None:
         """Rebuild every bucket from the code array."""
@@ -154,8 +186,9 @@ class HashIndex:
         if code.r != self.r:
             raise ValueError(f"code width {code.r} does not match index width {self.r}")
         self._append(case)
+        self._labels = np.append(self._labels, case.label)
         self._words = np.concatenate((self._words, np.array([code.words], dtype=np.uint64)))
-        row = np.array([len(self._cases) - 1], dtype=np.int64)
+        row = np.array([len(self) - 1], dtype=np.int64)
         key = _code_key(code.words)
         bucket = self._buckets.get(key)
         self._buckets[key] = row if bucket is None else np.concatenate((bucket, row))
@@ -165,8 +198,9 @@ class HashIndex:
         if case_id not in self._row:
             raise KeyError(f"unknown case id {case_id}")
         row = self._row[case_id]
-        case = self._cases.pop(row)
+        case = self._own_cases().pop(row)
         self._row = {c.id: k for k, c in enumerate(self._cases)}  # later rows move up
+        self._labels = np.delete(self._labels, row)
         self._words = np.delete(self._words, row, axis=0)
         self._regroup()
         self._snapshot = None
@@ -286,7 +320,7 @@ class HashIndex:
         if query.features.dim != self.dim:
             raise DataFormatError(
                 f"query dim {query.features.dim} does not match index dim {self.dim}")
-        if not self._cases:
+        if not self._row:
             return RetrievalResult(ids=[], distances=np.empty(0), n_candidates=0,
                                    radius_used=0)
         t0 = time.perf_counter_ns()
@@ -301,32 +335,32 @@ class HashIndex:
     def save(self, path) -> None:
         """Binary dump: header, id/code/label/nnz arrays, then each case's
         feature indices followed by its values, in ascending id order."""
-        ids = np.fromiter(self._row, dtype="<i8", count=len(self._row))
+        if self._snapshot is not None:
+            ids, x, _ = self._snapshot
+        else:
+            ids = np.fromiter(self._row, dtype=np.int64, count=len(self._row))
+            x = cases_to_csr(self._cases, self.dim)
         order = np.argsort(ids)
-        cases = [self._cases[k] for k in order.tolist()]
-        n = len(cases)
-        labels = np.fromiter((c.label for c in cases), dtype="<i8", count=n)
-        nnz = np.fromiter((c.features.nnz for c in cases), dtype="<i8", count=n)
-        total = int(nnz.sum())
-        feats = np.empty(2 * total, dtype="<i8")
+        indptr, indices, values = _gather_rows(x, order)
+        nnz = np.diff(indptr)
+        feats = np.empty(2 * len(indices), dtype="<i8")
         mask = _feature_mask(nnz)
-        feats[mask] = np.fromiter(chain.from_iterable(c.features.indices for c in cases),
-                                  dtype="<i8", count=total)
-        feats[~mask] = np.fromiter(chain.from_iterable(c.features.values for c in cases),
-                                   dtype="<f8", count=total).view("<i8")
+        feats[mask] = indices
+        feats[~mask] = values.astype("<f8", copy=False).view("<i8")
         with open(str(path), "wb") as fh:
             fh.write(INDEX_MAGIC)
-            np.array([INDEX_VERSION, self.r, self.dim, n], dtype="<i8").tofile(fh)
-            ids[order].tofile(fh)
+            np.array([INDEX_VERSION, self.r, self.dim, len(order)], dtype="<i8").tofile(fh)
+            ids[order].astype("<i8", copy=False).tofile(fh)
             self._words[order].astype("<u8", copy=False).tofile(fh)
-            labels.tofile(fh)
-            nnz.tofile(fh)
+            self._labels[order].astype("<i8", copy=False).tofile(fh)
+            nnz.astype("<i8", copy=False).tofile(fh)
             feats.tofile(fh)
 
     @classmethod
     def load(cls, path) -> "HashIndex":
         """Read a file written by save(); a short or corrupt file raises
-        DataFormatError."""
+        DataFormatError. The rows stay in the feature snapshot: no case
+        object is built."""
         with open(str(path), "rb") as fh:
             if fh.read(4) != INDEX_MAGIC:
                 raise DataFormatError("not an index file")
@@ -341,7 +375,7 @@ class HashIndex:
             spare = n_words * 64 - r
             if spare and (words[:, -1] >> np.uint64(64 - spare)).any():
                 raise DataFormatError("corrupt index file: unused high bits must be zero")
-            labels = _read(fh, "<i8", n).tolist()
+            labels = _read(fh, "<i8", n).astype(np.int64)
             nnz = _read(fh, "<i8", n).astype(np.int64)
             if (nnz < 0).any():
                 raise DataFormatError(f"corrupt index file: negative count {nnz.min()}")
@@ -350,24 +384,15 @@ class HashIndex:
         indices = feats[mask].astype(np.int64)
         values = feats[~mask].view("<f8").astype(np.float64)
         del feats, mask
+        indptr = np.r_[0, np.cumsum(nnz)]
+        _check_features(ids, indptr, indices, values, dim)
 
         idx = cls(r=r, dim=dim)
-        indptr = np.r_[0, np.cumsum(nnz)]
-        bounds = indptr.tolist()
-        ind_list, val_list = indices.tolist(), values.tolist()
-        id_list = ids.tolist()
-        try:  # the constructors check each case's features
-            idx._cases = [
-                SparseCase(id=cid,
-                           features=SparseVector(dim=dim, indices=tuple(ind_list[a:b]),
-                                                 values=tuple(val_list[a:b])),
-                           label=label)
-                for cid, a, b, label in zip(id_list, bounds, bounds[1:], labels)]
-        except ValueError as err:
-            raise DataFormatError(f"corrupt index file: {err}") from None
-        idx._row = dict(zip(id_list, range(n)))
+        idx._row = dict(zip(ids.tolist(), range(n)))
         if len(idx._row) != n:
             raise DataFormatError("corrupt index file: duplicate case ids")
+        idx._cases = None
+        idx._labels = labels
         idx._words = words
         idx._buckets = _group(words)
         idx._snapshot = _snapshot(ids, sp.csr_matrix((values, indices, indptr),
@@ -375,10 +400,31 @@ class HashIndex:
         return idx
 
 
-def _row_dots(x, rows: np.ndarray, q: np.ndarray) -> np.ndarray:
-    """x[rows] @ q, bit for bit: the same two scipy kernels, minus the index
-    checks and the matrix construction that x[rows] adds per call, which
-    cost about as much as the kernels at a few thousand rows."""
+def _check_features(ids, indptr, indices, values, dim: int) -> None:
+    """DataFormatError unless, in every row of the CSR arrays, the indices
+    lie in [0, dim) and strictly ascend and no value is zero; the error
+    names the case of the first bad entry."""
+    def fail(entry: int, what: str):
+        row = int(np.searchsorted(indptr, entry, side="right")) - 1
+        raise DataFormatError(f"corrupt index file: case {ids[row]}: {what}")
+
+    bad = np.flatnonzero((indices < 0) | (indices >= dim))
+    if len(bad):
+        fail(bad[0], f"index {indices[bad[0]]} out of range for dim={dim}")
+    # a fall is allowed only where a row starts
+    falls = np.diff(indices) <= 0
+    starts = indptr[1:-1]
+    falls[starts[(starts > 0) & (starts < len(indices))] - 1] = False
+    bad = np.flatnonzero(falls)
+    if len(bad):
+        fail(bad[0] + 1, "indices not strictly ascending")
+    bad = np.flatnonzero(values == 0.0)
+    if len(bad):
+        fail(bad[0], "stored values must be nonzero")
+
+
+def _gather_rows(x, rows: np.ndarray):
+    """The indptr, indices and data of x[rows], through scipy's own kernel."""
     ip = x.indptr
     rows = rows.astype(ip.dtype)
     sub_ip = np.zeros(len(rows) + 1, dtype=ip.dtype)
@@ -387,6 +433,14 @@ def _row_dots(x, rows: np.ndarray, q: np.ndarray) -> np.ndarray:
     sub_x = np.empty(sub_ip[-1], dtype=x.data.dtype)
     csr_row_index(len(rows), rows, ip, x.indices.astype(ip.dtype, copy=False), x.data,
                   sub_ix, sub_x)
+    return sub_ip, sub_ix, sub_x
+
+
+def _row_dots(x, rows: np.ndarray, q: np.ndarray) -> np.ndarray:
+    """x[rows] @ q, bit for bit: the same two scipy kernels, minus the index
+    checks and the matrix construction that x[rows] adds per call, which
+    cost about as much as the kernels at a few thousand rows."""
+    sub_ip, sub_ix, sub_x = _gather_rows(x, rows)
     out = np.zeros(len(rows))
     csr_matvec(len(rows), x.shape[1], sub_ip, sub_ix, sub_x, q, out)
     return out

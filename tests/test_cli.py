@@ -246,6 +246,27 @@ class TestIndexAndQuery:
         assert "high bits" in err
         assert stdout == ""
 
+    def test_unsorted_feature_row_exits_3(self, tmp_path, data_file, capsys):
+        idx_path = tmp_path / "c.idx"
+        code, _, _ = run(
+            capsys, "index", "--data", data_file, "--hash", "lsh", "--bits", "8",
+            "--out", str(idx_path))
+        assert code == 0
+        data = bytearray(idx_path.read_bytes())
+        counts = 4 + 8 * 4 + 8 * 3 * 80  # magic, header, 80 ids, codes and labels
+        nnz = np.frombuffer(bytes(data), dtype="<i8", count=80, offset=counts)
+        k = int(np.flatnonzero(nnz >= 2)[0])
+        # the case's second feature index repeats its first
+        first = counts + 8 * 80 + 16 * int(nnz[:k].sum())
+        data[first + 8:first + 16] = data[first:first + 8]
+        idx_path.write_bytes(bytes(data))
+        code, stdout, err = run(
+            capsys, "query", "--index", str(idx_path), "--data", data_file,
+            "--hash", "lsh", "--bits", "8")
+        assert code == 3
+        assert "ascending" in err
+        assert stdout == ""
+
     def test_index_requires_coder(self, data_file, capsys):
         code, _, err = run(capsys, "index", "--data", data_file)
         assert code == 2

@@ -1,3 +1,4 @@
+import gc
 from collections import Counter
 from math import comb
 
@@ -299,6 +300,17 @@ class TestPersistence:
         b = back.retrieve(q, planes.code(q), top_n=5)
         assert a.ids == b.ids
 
+    def test_load_builds_no_per_case_objects(self, rng, tmp_path):
+        cases = random_cases(rng, 5000, dim=40, nnz=5, n_labels=7)
+        HashIndex.build(cases, LshPlanes.sample(16, 40, seed=3)).save(tmp_path / "5k.idx")
+        gc.collect()
+        before = len(gc.get_objects())
+        back = HashIndex.load(tmp_path / "5k.idx")
+        assert len(gc.get_objects()) - before < 100
+        for case in cases:
+            assert back.case(case.id) == case
+            assert back.label(case.id) == case.label
+
     def test_bad_magic(self, tmp_path):
         p = tmp_path / "x.idx"
         p.write_bytes(b"JUNKJUNKJUNK")
@@ -338,6 +350,25 @@ def patch(path, offset, value, dtype="<i8"):
     path.write_bytes(bytes(data))
 
 
+def rows_file(tmp_path, rows):
+    """An r=8 index file of one case per feature row, case k with id 10 + k
+    and label k % 2, plus the byte offsets of each row's (index, value)
+    entries."""
+    dim = 4
+    idx = HashIndex(r=8, dim=dim)
+    for k, pairs in enumerate(rows):
+        idx.insert(make_case(dim, pairs, label=k % 2, case_id=10 + k), HashCode(r=8, words=(k,)))
+    path = tmp_path / "rows.idx"
+    idx.save(path)
+    at = 4 + 8 * 4 + 8 * 4 * len(rows)  # magic, header, ids, codes, labels, counts
+    entries = []
+    for pairs in rows:
+        n = len(pairs)
+        entries.append([(at + 8 * j, at + 8 * (n + j)) for j in range(n)])
+        at += 16 * n
+    return path, entries
+
+
 class TestLoadChecks:
     @pytest.mark.parametrize("field, value, dtype, match", [
         ("idx1", 4, "<i8", "out of range"),
@@ -366,6 +397,40 @@ class TestLoadChecks:
         assert [back.case(c.id) for c in cases] == cases
         q = make_case(4, [(1, 2.0)], case_id=9)
         assert back.linear_scan(q, 3).ids == [5, 3, 7]
+
+    def test_row_boundaries_and_empty_rows_load(self, tmp_path):
+        # a row ending at index 3 is followed by one starting at 0; empty rows
+        # sit at the start, in the middle and at the end
+        rows = [[], [(1, 1.0), (3, 2.0)], [(0, 3.0), (2, 4.0)], [], [(3, 5.0)],
+                [(0, 6.0)], []]
+        path, _ = rows_file(tmp_path, rows)
+        back = HashIndex.load(path)
+        for k, pairs in enumerate(rows):
+            assert back.case(10 + k) == make_case(4, pairs, label=k % 2, case_id=10 + k)
+            assert back.label(10 + k) == k % 2
+        back.save(tmp_path / "again.idx")
+        assert (tmp_path / "again.idx").read_bytes() == path.read_bytes()
+
+    @pytest.mark.parametrize("entry, value, dtype, match", [
+        (1, 0.0, "<f8", "nonzero"),  # the last value of the file
+        (0, 4, "<i8", "out of range"),  # the last index of the file
+        (0, 1, "<i8", "ascending"),  # equals the index before it in its row
+    ])
+    def test_bad_entry_in_last_row_rejected(self, tmp_path, entry, value, dtype, match):
+        path, entries = rows_file(tmp_path, [[], [(0, 1.0), (3, 2.0)], [],
+                                             [(1, 3.0), (2, 4.0)]])
+        HashIndex.load(path)
+        patch(path, entries[-1][-1][entry], value, dtype)
+        with pytest.raises(DataFormatError, match=match):
+            HashIndex.load(path)
+
+    def test_every_prefix_rejected(self, tmp_path):
+        path, _ = rows_file(tmp_path, [[(0, 1.0), (3, 2.0)], [], [(1, 3.0)]])
+        data = path.read_bytes()
+        for cut in range(len(data)):
+            path.write_bytes(data[:cut])
+            with pytest.raises(DataFormatError):
+                HashIndex.load(path)
 
 
 class TestStats:

@@ -103,18 +103,27 @@ def exact_top(stored, query, cands, top_n):
     return ranked, [dist[cid] for cid in ranked]
 
 
+def fresh_index(r, stored):
+    """A built index of stored's cases with their codes, empty when stored is."""
+    if not stored:
+        return HashIndex(r=r, dim=DIM)
+    return HashIndex.build([case for case, _ in stored.values()],
+                           TableCoder(r, {cid: code for cid, (_, code) in stored.items()}))
+
+
 def run_operations(r, initial, ops):
     """Apply ops to a fresh index and to a dict model of it; return both."""
     stored = {}
-    table = {}
     for cid, feats, spec in initial:
-        if cid not in table:
-            table[cid] = make_code(r, spec)
-            stored[cid] = (make_case(cid, feats, label=cid % 3), table[cid])
-    if stored:
-        idx = HashIndex.build([case for case, _ in stored.values()], TableCoder(r, table))
-    else:
-        idx = HashIndex(r=r, dim=DIM)
+        if cid not in stored:
+            stored[cid] = (make_case(cid, feats, label=cid % 3), make_code(r, spec))
+    idx = fresh_index(r, stored)
+    return idx, apply_operations(r, idx, stored, ops)
+
+
+def apply_operations(r, idx, stored, ops):
+    """Apply ops to idx and to stored, its dict model in row order; return
+    the model."""
     for op in ops:
         if op[0] == "insert":
             _, cid, feats, spec = op
@@ -139,7 +148,7 @@ def run_operations(r, initial, ops):
             changed = idx.replace_codes(TableCoder(r, new, rows))
             assert changed == sum(new[cid] != code for cid, (_, code) in stored.items())
             stored = {cid: (case, new[cid]) for cid, (case, _) in stored.items()}
-    return idx, stored
+    return stored
 
 
 def check_bit_balance(idx):
@@ -154,6 +163,7 @@ def check_against_oracle(r, idx, stored, qs):
     assert idx.ids() == sorted(stored)
     for cid, (case, code) in stored.items():
         assert idx.case(cid) == case
+        assert idx.label(cid) == case.label
         assert idx.code(cid) == code
     for k, (feats, spec, top_n, max_radius, max_candidates) in enumerate(qs):
         query, q_code = make_case(1000 + k, feats), make_code(r, spec)
@@ -188,20 +198,32 @@ def test_retrieve_matches_bruteforce_after_mutations(r):
 
 @pytest.mark.parametrize("r", [6, 70])
 def test_save_load_save_is_byte_identical(r):
+    """A loaded index saves the bytes it was loaded from, answers as the
+    saved one did, and after a second batch of writes behaves, and saves,
+    exactly as a built index of the same cases and codes."""
     @settings(max_examples=40, deadline=None)
     @given(initial=st.lists(st.tuples(st.integers(0, 30), features, code_specs(r)),
                             max_size=12),
-           ops=operations(r), qs=queries(r))
-    def check(initial, ops, qs):
+           ops=operations(r), more=operations(r), qs=queries(r))
+    def check(initial, ops, more, qs):
         idx, stored = run_operations(r, initial, ops)
         with tempfile.TemporaryDirectory() as tmp:
-            first, second = Path(tmp) / "a.idx", Path(tmp) / "b.idx"
-            idx.save(first)
-            back = HashIndex.load(first)
-            back.save(second)
-            assert first.read_bytes() == second.read_bytes()
-        assert back.n_buckets == idx.n_buckets
-        check_bit_balance(back)
-        check_against_oracle(r, back, stored, qs)
+            saved, loaded, written, built = (Path(tmp) / f"{name}.idx" for name in
+                                             ("saved", "loaded", "written", "built"))
+            idx.save(saved)
+            back = HashIndex.load(saved)
+            back.save(loaded)
+            assert saved.read_bytes() == loaded.read_bytes()
+            assert back.n_buckets == idx.n_buckets
+            check_bit_balance(back)
+            check_against_oracle(r, back, stored, qs)
+
+            # a loaded index holds its rows in ascending id order
+            stored = apply_operations(r, back, dict(sorted(stored.items())), more)
+            check_bit_balance(back)
+            check_against_oracle(r, back, stored, qs)
+            back.save(written)
+            fresh_index(r, stored).save(built)
+            assert written.read_bytes() == built.read_bytes()
 
     check()
