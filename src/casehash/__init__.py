@@ -27,7 +27,6 @@ from .network import (
     HashCode,
     Hyperparams,
     NetworkParams,
-    forward_batch,
     hamming_distance,
     hash_case,
     init_params,
@@ -68,7 +67,7 @@ __all__ = [
     "PairBatch", "RetrievalResult", "SolveRecord", "SparseCase",
     "SparseVector", "Suggestion", "TrainResult", "UpdateStats", "accuracy",
     "ap_at_n", "auc_binary", "auc_multiclass", "batch_objective", "bench",
-    "clustered_fixture", "evaluate", "fit_ranges", "forward_batch", "grad",
+    "clustered_fixture", "evaluate", "fit_ranges", "grad",
     "hamming_distance", "hash_case", "init_params", "kfold",
     "load_checkpoint", "load_csv", "load_sparse_text", "map_at_n",
     "normalize", "prec_at_n", "sample_pairs", "save_checkpoint", "split",

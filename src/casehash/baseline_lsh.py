@@ -3,8 +3,8 @@
 One standard-normal hyperplane per bit; a case's bit is the sign of its
 feature vector projected onto that plane, with sign(0) mapped to +1. Codes
 are scale invariant: c * x (c > 0) hashes identically to x. The class
-mirrors the learned coder's interface (r, code, code_batch, code_rows) so
-it drops into the same index and engine unchanged.
+mirrors the learned coder's interface (r, code, code_rows) so it drops
+into the same index and engine unchanged.
 """
 
 from __future__ import annotations
@@ -12,10 +12,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import sparse as sp
 
 from .network import HashCode, pack_rows
-from .sparse import DataFormatError, SparseCase, cases_to_csr
+from .sparse import DataFormatError, SparseCase
 
 
 @dataclass
@@ -51,9 +50,6 @@ class LshPlanes:
 
     def code(self, case: SparseCase) -> HashCode:
         return HashCode.from_signs(self.project(case))
-
-    def code_batch(self, cases) -> np.ndarray:
-        return self.code_rows(cases_to_csr(cases, self.dim))
 
     def code_rows(self, x) -> np.ndarray:
         """Packed codes of the rows of an (n, dim) CSR feature matrix."""

@@ -57,6 +57,16 @@ class RunConfig:
     update_epochs: int = 5
     update_lr: float = 1e-3
 
+    def __post_init__(self):
+        for name, low in (("epochs", 0), ("batch_size", 2), ("patience", 1), ("max_radius", 0),
+                          ("update_epochs", 0), ("min_delta", 0.0), ("neg_ratio", 0.0)):
+            if not getattr(self, name) >= low:
+                raise ValueError(f"{name} must be >= {low}")
+        if not (self.lr > 0.0 and self.update_lr > 0.0):
+            raise ValueError("lr and update_lr must be positive")
+        if self.optimizer not in ("adam", "sgd"):
+            raise ValueError(f"unknown optimizer {self.optimizer!r}")
+
 
 def _parse_bool(raw: str) -> bool:
     low = raw.strip().lower()
@@ -123,13 +133,10 @@ def build_config(args) -> RunConfig:
         hyper_kwargs["top_n"] = args.top_n
     if getattr(args, "radius", None) is not None:
         run_kwargs["max_radius"] = args.radius
-    if run_kwargs.get("optimizer", "adam") not in ("adam", "sgd"):
-        raise ConfigError(f"unknown optimizer {run_kwargs['optimizer']!r}")
     try:
-        hyper = Hyperparams(**hyper_kwargs)
+        return RunConfig(hyper=Hyperparams(**hyper_kwargs), **run_kwargs)
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
-    return RunConfig(hyper=hyper, **run_kwargs)
 
 
 def echo_config(cfg: RunConfig, args) -> None:
@@ -399,6 +406,20 @@ def cmd_query(args, cfg: RunConfig) -> int:
     return 0
 
 
+def _checked(cast, ok, what: str):
+    """An argparse type: cast the flag's text, then require ok(value)."""
+    def parse(raw: str):
+        value = cast(raw)
+        if not ok(value):
+            raise argparse.ArgumentTypeError(f"must be {what}, got {value}")
+        return value
+    parse.__name__ = cast.__name__  # argparse names it in "invalid int value"
+    return parse
+
+
+_FRACTION = _checked(float, lambda v: 0.0 < v < 1.0, "in (0, 1)")
+
+
 def build_parser() -> argparse.ArgumentParser:
     shared = argparse.ArgumentParser(add_help=False)
     shared.add_argument("--data", help="input dataset (sparse text, or CSV with --schema)")
@@ -422,18 +443,20 @@ def build_parser() -> argparse.ArgumentParser:
     sub.add_parser("train", parents=[shared], help="fit a hash network checkpoint")
     p_eval = sub.add_parser("eval", parents=[shared],
                             help="cross-validated retrieval/suggestion metrics")
-    p_eval.add_argument("--folds", type=int, default=5)
-    p_eval.add_argument("--train-frac", dest="train_frac", type=float, default=0.8,
+    p_eval.add_argument("--folds", type=_checked(int, lambda v: v >= 2, ">= 2"),
+                        default=5)
+    p_eval.add_argument("--train-frac", dest="train_frac", type=_FRACTION, default=0.8,
                         help="single-split fraction when --model/--hash lsh is given")
     p_stream = sub.add_parser("stream", parents=[shared],
                               help="solve cases in arrival order with retention")
-    p_stream.add_argument("--train-frac", dest="train_frac", type=float, default=0.5,
+    p_stream.add_argument("--train-frac", dest="train_frac", type=_FRACTION, default=0.5,
                           help="leading fraction used to seed the model and index")
     p_stream.add_argument("--no-update", dest="no_update", action="store_true",
                           help="freeze the case base and hash function")
     p_bench = sub.add_parser("bench", parents=[shared],
                              help="bucketed retrieval vs linear scan latency")
-    p_bench.add_argument("--queries", type=int, default=100,
+    p_bench.add_argument("--queries", type=_checked(int, lambda v: v >= 1, ">= 1"),
+                         default=100,
                          help="trailing cases held out as timing queries")
     sub.add_parser("index", parents=[shared], help="build and save a case index")
     p_query = sub.add_parser("query", parents=[shared],
@@ -461,10 +484,7 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except FileNotFoundError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
-    except DataFormatError as exc:
+    except (FileNotFoundError, DataFormatError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
     except DivergenceError as exc:

@@ -1,14 +1,17 @@
 """Hamming-bucket index over binary case codes with exact rerank.
 
-Row k holds the k-th stored case, its label as entry k of an int64 array,
-its code as row k of one packed uint64 (n, ceil(r/64)) array, the array
-code_batch returns, and row k of the feature snapshot, a CSR matrix; only
-code(id) builds a HashCode. A loaded index keeps its rows only in that
-snapshot, checked as one block, and builds a SparseCase only when case(id)
-asks, until its first insert or remove builds the case list once. Each bucket
-is an ascending int64 array of the rows that share one code; an insert
-appends one row to the code array and one to a bucket, and a remove or a
-recode regroups every bucket in bulk. A query gathers candidates by
+Row k holds the k-th stored case: its id and label as entry k of two int64
+arrays, its code as row k of one packed uint64 (n, ceil(r/64)) array, the
+array a coder's code_rows returns, and row k of the feature snapshot, a CSR
+matrix; only code(id) builds a HashCode. build converts its cases to that
+matrix once, codes it and keeps it, so neither save nor the first query
+converts again. A loaded index keeps its rows only in that snapshot, checked
+as one block, and builds a SparseCase only when case(id) asks, until its
+first insert or remove builds the case list once. An insert or a remove
+drops the snapshot, and the next read rebuilds it from the case list. Each
+bucket is an ascending int64 array of the rows that share one code; an
+insert appends one row to the code array and one to a bucket, and a remove
+or a recode regroups every bucket in bulk. A query gathers candidates by
 expanding the Hamming ball around its code one complete radius level at a
 time (0, then 1, then 2 by default), stopping as soon as enough candidates
 exist; since buckets are disjoint the gathered arrays concatenate into the
@@ -89,17 +92,18 @@ class HashIndex:
             raise ValueError("r and dim must be positive")
         self.r = r
         self.dim = dim
-        # row k: _cases[k], _labels[k], its code _words[k] and snapshot row k;
-        # _row maps each id to its row and lists the ids in row order. A loaded
-        # index has no case list (None) until its first insert or remove.
+        # row k: _cases[k], _ids[k], _labels[k], its code _words[k] and
+        # snapshot row k; _row maps each id to its row. A loaded index has no
+        # case list (None) until its first insert or remove.
         self._cases: list[SparseCase] | None = []
+        self._ids = np.zeros(0, dtype=np.int64)
         self._labels = np.zeros(0, dtype=np.int64)
         self._words = np.zeros((0, (r + 63) // 64), dtype=np.uint64)
         self._row: dict[int, int] = {}
         # code key -> ascending row positions; never empty
         self._buckets: dict[int, np.ndarray] = {}
         self._masks: dict[int, list[int]] = {}
-        self._snapshot = None  # (row ids, csr matrix, row squared norms)
+        self._snapshot = None  # (csr matrix, row squared norms)
 
     def __len__(self) -> int:
         return len(self._row)
@@ -137,15 +141,18 @@ class HashIndex:
 
     @classmethod
     def build(cls, cases, coder) -> "HashIndex":
-        """Index a case collection; coder must provide code_batch(cases)."""
+        """Index a case collection; coder must provide code_rows(x) for the
+        (n, dim) CSR feature matrix. That matrix becomes the snapshot."""
         cases = list(cases)
         if not cases:
             raise ValueError("cannot build an index from zero cases")
         idx = cls(r=coder.r, dim=cases[0].features.dim)
         for case in cases:
             idx._append(case)
+        idx._ids = np.fromiter(idx._row, dtype=np.int64, count=len(cases))
         idx._labels = np.fromiter((c.label for c in cases), dtype=np.int64, count=len(cases))
-        idx._words = coder.code_batch(cases)
+        idx._snapshot = _snapshot(cases_to_csr(cases, idx.dim))
+        idx._words = coder.code_rows(idx._snapshot[0])
         idx._regroup()
         return idx
 
@@ -167,7 +174,7 @@ class HashIndex:
 
     def _snapshot_cases(self, start: int, stop: int) -> list[SparseCase]:
         """The cases of snapshot rows start to stop - 1."""
-        ids, x, _ = self._snapshot
+        x, _ = self._snapshot
         bounds = x.indptr[start:stop + 1].tolist()
         lo = bounds[0]
         ind, val = x.indices[lo:bounds[-1]].tolist(), x.data[lo:bounds[-1]].tolist()
@@ -175,7 +182,7 @@ class HashIndex:
                            features=SparseVector(dim=self.dim, indices=tuple(ind[a - lo:b - lo]),
                                                  values=tuple(val[a - lo:b - lo])),
                            label=label)
-                for cid, a, b, label in zip(ids[start:stop].tolist(), bounds, bounds[1:],
+                for cid, a, b, label in zip(self._ids[start:stop].tolist(), bounds, bounds[1:],
                                             self._labels[start:stop].tolist())]
 
     def _regroup(self) -> None:
@@ -186,7 +193,7 @@ class HashIndex:
         if code.r != self.r:
             raise ValueError(f"code width {code.r} does not match index width {self.r}")
         self._append(case)
-        self._labels = np.append(self._labels, case.label)
+        self._ids, self._labels = np.append(self._ids, case.id), np.append(self._labels, case.label)
         self._words = np.concatenate((self._words, np.array([code.words], dtype=np.uint64)))
         row = np.array([len(self) - 1], dtype=np.int64)
         key = _code_key(code.words)
@@ -200,7 +207,7 @@ class HashIndex:
         row = self._row[case_id]
         case = self._own_cases().pop(row)
         self._row = {c.id: k for k, c in enumerate(self._cases)}  # later rows move up
-        self._labels = np.delete(self._labels, row)
+        self._ids, self._labels = np.delete(self._ids, row), np.delete(self._labels, row)
         self._words = np.delete(self._words, row, axis=0)
         self._regroup()
         self._snapshot = None
@@ -213,7 +220,7 @@ class HashIndex:
         if coder.r != self.r:
             raise ValueError(f"coder width {coder.r} does not match index width {self.r}")
         # code the snapshot's rows, and keep it: rows and features are unchanged
-        old, self._words = self._words, coder.code_rows(self._matrix()[1])
+        old, self._words = self._words, coder.code_rows(self._matrix()[0])
         self._regroup()
         return int(np.count_nonzero((old != self._words).any(axis=1)))
 
@@ -232,21 +239,17 @@ class HashIndex:
             raise ValueError("radius must be >= 0")
         key = _code_key(code.words)
         parts = [b for t in range(radius + 1) for b in self._level(key, t)]
-        if not parts:
-            return set()
-        ids = (self._snapshot[0] if self._snapshot is not None
-               else np.fromiter(self._row, dtype=np.int64, count=len(self._row)))
-        return set(ids[np.concatenate(parts)].tolist())
+        return set(self._ids[np.concatenate(parts)].tolist()) if parts else set()
 
     def _matrix(self):
+        """The feature snapshot, rebuilt from the case list after a write."""
         if self._snapshot is None:
-            ids = np.fromiter(self._row, dtype=np.int64, count=len(self._row))
-            self._snapshot = _snapshot(ids, cases_to_csr(self._cases, self.dim))
+            self._snapshot = _snapshot(cases_to_csr(self._cases, self.dim))
         return self._snapshot
 
     def _distances_to(self, query: SparseCase, rows: np.ndarray) -> np.ndarray:
         """Euclidean distance from the query to the given snapshot rows."""
-        ids, x, row_sq = self._matrix()
+        x, row_sq = self._matrix()
         q = np.zeros(self.dim)
         q[list(query.features.indices)] = query.features.values
         if rows is None:
@@ -306,9 +309,8 @@ class HashIndex:
                                    gather_us=gather_us)
 
         t1 = time.perf_counter_ns()
-        snap_ids, _, _ = self._matrix()
         dists = self._distances_to(query, rows)
-        ranked_ids, ranked_d = self._rank(snap_ids[rows], dists, top_n)
+        ranked_ids, ranked_d = self._rank(self._ids[rows], dists, top_n)
         rerank_us = (time.perf_counter_ns() - t1) / 1e3
         return RetrievalResult(ids=ranked_ids, distances=ranked_d,
                                n_candidates=n_found, radius_used=radius_used,
@@ -320,28 +322,19 @@ class HashIndex:
         if query.features.dim != self.dim:
             raise DataFormatError(
                 f"query dim {query.features.dim} does not match index dim {self.dim}")
-        if not self._row:
-            return RetrievalResult(ids=[], distances=np.empty(0), n_candidates=0,
-                                   radius_used=0)
         t0 = time.perf_counter_ns()
-        ids, _, _ = self._matrix()
         dists = self._distances_to(query, None)
-        ranked_ids, ranked_d = self._rank(ids, dists, top_n)
+        ranked_ids, ranked_d = self._rank(self._ids, dists, top_n)
         rerank_us = (time.perf_counter_ns() - t0) / 1e3
         return RetrievalResult(ids=ranked_ids, distances=ranked_d,
-                               n_candidates=len(ids), radius_used=0,
+                               n_candidates=len(self), radius_used=0,
                                rerank_us=rerank_us)
 
     def save(self, path) -> None:
         """Binary dump: header, id/code/label/nnz arrays, then each case's
         feature indices followed by its values, in ascending id order."""
-        if self._snapshot is not None:
-            ids, x, _ = self._snapshot
-        else:
-            ids = np.fromiter(self._row, dtype=np.int64, count=len(self._row))
-            x = cases_to_csr(self._cases, self.dim)
-        order = np.argsort(ids)
-        indptr, indices, values = _gather_rows(x, order)
+        order = np.argsort(self._ids)
+        indptr, indices, values = _gather_rows(self._matrix()[0], order)
         nnz = np.diff(indptr)
         feats = np.empty(2 * len(indices), dtype="<i8")
         mask = _feature_mask(nnz)
@@ -350,7 +343,7 @@ class HashIndex:
         with open(str(path), "wb") as fh:
             fh.write(INDEX_MAGIC)
             np.array([INDEX_VERSION, self.r, self.dim, len(order)], dtype="<i8").tofile(fh)
-            ids[order].astype("<i8", copy=False).tofile(fh)
+            self._ids[order].astype("<i8", copy=False).tofile(fh)
             self._words[order].astype("<u8", copy=False).tofile(fh)
             self._labels[order].astype("<i8", copy=False).tofile(fh)
             nnz.astype("<i8", copy=False).tofile(fh)
@@ -392,11 +385,11 @@ class HashIndex:
         if len(idx._row) != n:
             raise DataFormatError("corrupt index file: duplicate case ids")
         idx._cases = None
+        idx._ids = ids
         idx._labels = labels
         idx._words = words
         idx._buckets = _group(words)
-        idx._snapshot = _snapshot(ids, sp.csr_matrix((values, indices, indptr),
-                                                     shape=(n, dim)))
+        idx._snapshot = _snapshot(sp.csr_matrix((values, indices, indptr), shape=(n, dim)))
         return idx
 
 
@@ -446,8 +439,8 @@ def _row_dots(x, rows: np.ndarray, q: np.ndarray) -> np.ndarray:
     return out
 
 
-def _snapshot(ids: np.ndarray, x):
-    return ids, x, np.asarray(x.multiply(x).sum(axis=1)).ravel()
+def _snapshot(x):
+    return x, np.asarray(x.multiply(x).sum(axis=1)).ravel()
 
 
 def _read(fh, dtype: str, count: int) -> np.ndarray:

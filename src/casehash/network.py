@@ -17,16 +17,16 @@ only the last (relaxed_output). Only the step that makes S1 and S2 differs:
 a block of cases takes it from a CSR matrix (block_sums), a single case
 gathers its active columns (case_sums). Codes are packed by one
 np.packbits body (pack_rows) into a uint64 (n, ceil(r/64)) array, the form
-code_batch returns and the index stores, and unpacked by unpack_words.
+code_rows returns and the index stores, and unpacked by unpack_words.
 
 forward_rows runs the head on the rows of an (n, d) CSR matrix, a block of
 rows at a time, each block writing its own slice of a preallocated (n, r)
-output; forward_batch and code_batch first convert their cases to that
-matrix, and code_rows lets an index code the matrix it already holds. The
-constant slot of first_order is added to the running sums after the
-product, as the last term a trailing ones column would add, so the matrix
-needs no extra column. Beyond the CSR matrix and the output a block holds
-only its own intermediates, whatever n is.
+output; code_rows codes such a matrix, the one an index holds. The constant
+slot of first_order is added to the running sums after the product
+(block_sums, for coding and training alike), as the last term a trailing
+ones column would add, so the matrix never has an extra column. Beyond the
+CSR matrix and the output a block holds only its own intermediates,
+whatever n is.
 
 The blocks are independent and their heavy steps (scipy's CSR product, the
 numpy elementwise ops, the BLAS GEMMs) release the GIL. When BLAS is pinned
@@ -39,7 +39,7 @@ at a time. A row's arithmetic does not depend on the rows blocked with it,
 so outputs and codes are bit-identical on either path. The pool is made on
 first use, and a forked child makes its own.
 
-forward_rows, forward_batch and hash_case are pure reads of the parameters
+forward_rows and hash_case are pure reads of the parameters
 and safe to run concurrently; training mutates parameters under exclusive
 access.
 """
@@ -157,6 +157,7 @@ class NetworkParams:
         return hash_case(case, self)
 
     def code_batch(self, cases) -> np.ndarray:
+        """Packed codes of a case list: code_rows on its CSR matrix."""
         return self.code_rows(sparse.cases_to_csr(cases, self.d))
 
     def code_rows(self, x) -> np.ndarray:
@@ -252,12 +253,17 @@ def case_sums(case: SparseCase, params: NetworkParams):
 
 def block_sums(x, x_sq, w_p_t: np.ndarray, w_p_sq_t: np.ndarray):
     """S1 = x w_p^T and S2 = x_sq (w_p^2)^T for a CSR block x of cases and
-    its elementwise square, given w_p^T and (w_p^2)^T with one row per
-    column of x. For first_order, training appends a ones column to x;
-    forward_rows adds that slot's row after the product instead. scipy
-    copies a non-contiguous operand on every product, so a caller with
-    many blocks passes contiguous ones."""
-    return x @ w_p_t, x_sq @ w_p_sq_t
+    its elementwise square, given w_p^T and (w_p^2)^T. For first_order they
+    have one row more than x has columns, the constant slot's, which every
+    case holds with value 1: it is added after the product. scipy copies a
+    non-contiguous operand on every product, so a caller with many blocks
+    passes contiguous ones."""
+    d = x.shape[1]
+    s1, s2 = x @ w_p_t[:d], x_sq @ w_p_sq_t[:d]
+    if len(w_p_t) > d:
+        s1 += w_p_t[d]
+        s2 += w_p_sq_t[d]
+    return s1, s2
 
 
 def interaction(s1, s2, v: np.ndarray) -> np.ndarray:
@@ -351,10 +357,7 @@ def forward_rows(x, params: NetworkParams) -> np.ndarray:
 
     def run_block(start: int) -> None:
         block = x[start:start + rows]
-        s1, s2 = block_sums(block, block.multiply(block), w_p_t[:d], w_p_sq_t[:d])
-        if params.hyper.first_order:
-            s1 += w_p_t[d]
-            s2 += w_p_sq_t[d]
+        s1, s2 = block_sums(block, block.multiply(block), w_p_t, w_p_sq_t)
         out[start:start + block.shape[0]] = relaxed_output(
             interaction(s1, s2, params.v), params)
 
@@ -382,12 +385,6 @@ def forward_rows(x, params: NetworkParams) -> np.ndarray:
     for future in futures:
         future.result()  # re-raises a block's DivergenceError
     return out
-
-
-def forward_batch(cases, params: NetworkParams) -> np.ndarray:
-    """Relaxed outputs for many cases at once, shape (n, r), from one CSR
-    matrix of their features."""
-    return forward_rows(sparse.cases_to_csr(cases, params.d), params)
 
 
 def hash_case(case: SparseCase, params: NetworkParams) -> HashCode:

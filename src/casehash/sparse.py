@@ -427,12 +427,8 @@ def normalize(cases, schema: DatasetSchema):
     return out
 
 
-def cases_to_csr(cases, dim: int, extra_ones_column: bool = False):
-    """Stack case features into a scipy CSR matrix of shape (n, dim).
-
-    With extra_ones_column an all-ones column is appended (giving dim + 1
-    columns); callers use it to carry a per-case constant slot.
-    """
+def cases_to_csr(cases, dim: int):
+    """Stack case features into a scipy CSR matrix of shape (n, dim)."""
     from scipy import sparse as sp
 
     def row_lengths():
@@ -450,12 +446,7 @@ def cases_to_csr(cases, dim: int, extra_ones_column: bool = False):
                        dtype=np.int64, count=total)
     vals = np.fromiter(chain.from_iterable(c.features.values for c in cases),
                        dtype=np.float64, count=total)
-    if extra_ones_column:  # close each row with the constant slot
-        ends = indptr[1:]
-        cols, vals = np.insert(cols, ends, dim), np.insert(vals, ends, 1.0)
-        indptr = indptr + np.arange(n + 1)
-    return sp.csr_matrix(
-        (vals, cols, indptr), shape=(n, dim + 1 if extra_ones_column else dim))
+    return sp.csr_matrix((vals, cols, indptr), shape=(n, dim))
 
 
 def split(cases, train_fraction: float, seed: int):

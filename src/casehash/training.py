@@ -127,8 +127,7 @@ def _forward_distinct(batch: PairBatch, params: NetworkParams):
     gives each pair's first row.
     """
     positions = batch.distinct_positions()
-    x = cases_to_csr([batch.cases[p] for p in positions], params.d,
-                     extra_ones_column=params.hyper.first_order)
+    x = cases_to_csr([batch.cases[p] for p in positions], params.d)
     x_sq = x.multiply(x)
     s1, s2 = block_sums(x, x_sq, params.w_p.T, (params.w_p ** 2).T)
     z_in = interaction(s1, s2, params.v)
@@ -167,7 +166,8 @@ def _backward(params: NetworkParams, trace, deltas: np.ndarray) -> Gradients:
 
     With G = (dL/dz) v^T, a case's active feature j with value x_j gets
     dL/dw_p[:, j] = g * x_j * (s1 - x_j w_p[:, j]); summed over the block that
-    is (G o S1)^T X - w_p o (G^T X_sq).
+    is (G o S1)^T X - w_p o (G^T X_sq). The first_order slot, value 1 in
+    every case, gets the column sum(G o S1) - w_p[:, d] * sum(G).
     """
     x, x_sq, s1, s2, z_in, fc = trace
     d_out = deltas
@@ -184,8 +184,12 @@ def _backward(params: NetworkParams, trace, deltas: np.ndarray) -> Gradients:
         d_out = d_pre @ layer.w
     # d_out is now dL/dz, one row per case
     g = d_out @ params.v.T
+    gs1, d = g * s1, params.d
+    w_p = (x.T @ gs1).T - params.w_p[:, :d] * (x_sq.T @ g).T
+    if params.hyper.first_order:
+        w_p = np.column_stack((w_p, gs1.sum(axis=0) - params.w_p[:, d] * g.sum(axis=0)))
     return Gradients(
-        w_p=(x.T @ (g * s1)).T - params.w_p * (x_sq.T @ g).T,
+        w_p=w_p,
         v=0.5 * ((np.square(s1) - s2).T @ d_out),
         layers=layers[::-1],
     )

@@ -6,7 +6,8 @@ import pytest
 
 from casehash import (Gradients, Hyperparams, SparseCase, SparseVector, batch_objective,
                       init_params)
-from casehash.network import case_sums, interaction, relaxed_output
+from casehash.network import case_sums, forward_rows, interaction, relaxed_output
+from casehash.sparse import cases_to_csr
 
 
 def make_case(dim, pairs, label=0, case_id=0):
@@ -52,6 +53,12 @@ def interact_bruteforce(embeddings, v):
 def case_output(case, params):
     """The one-row path's relaxed output, the vector hash_case binarizes."""
     return relaxed_output(interaction(*case_sums(case, params), params.v), params)
+
+
+def forward_batch(cases, params):
+    """Relaxed outputs for many cases at once, shape (n, r): forward_rows
+    on one CSR matrix of their features."""
+    return forward_rows(cases_to_csr(cases, params.d), params)
 
 
 def relaxed_similarity(out_i, out_j):

@@ -1,16 +1,18 @@
 import numpy as np
 import pytest
 
-from casehash import (CbrEngine, HashIndex, Hyperparams, LshPlanes, clustered_fixture,
-                      init_params)
+from casehash import (CbrEngine, HashCode, HashIndex, Hyperparams, LshPlanes,
+                      clustered_fixture, init_params)
 import casehash.cbr as cbr_module
 from casehash.cbr import Suggestion
+from casehash.network import pack_rows
 
 from conftest import make_case, random_cases
 
 
 class CountingCoder:
-    """Wraps a coder and counts its single-case code() calls."""
+    """Wraps a coder and counts its single-case code() calls; code_rows
+    passes through."""
 
     def __init__(self, inner):
         self.inner = inner
@@ -21,8 +23,26 @@ class CountingCoder:
         self.calls += 1
         return self.inner.code(case)
 
-    def code_batch(self, cases):
-        return self.inner.code_batch(cases)
+    def code_rows(self, x):
+        return self.inner.code_rows(x)
+
+
+class MinimalCoder:
+    """A coder with only r, code(case) and code_rows(x): bit m says whether
+    feature m is positive, or, inverted, whether it is not."""
+
+    __slots__ = ("r", "sign")
+
+    def __init__(self, r, invert=False):
+        self.r = r
+        self.sign = -1.0 if invert else 1.0
+
+    def code(self, case) -> HashCode:
+        return HashCode.from_signs(self.sign * np.where(case.features.to_dense()[:self.r] > 0,
+                                                        1.0, -1.0))
+
+    def code_rows(self, x) -> np.ndarray:
+        return pack_rows(self.sign * np.where(x[:, :self.r].toarray() > 0, 1.0, -1.0))
 
 
 def one_bucket_index(cases):
@@ -315,3 +335,34 @@ class TestConstruction:
         eng = CbrEngine(idx, planes)
         with pytest.raises(RuntimeError):
             eng.update_model()
+
+
+class TestMinimalCoder:
+    def test_index_and_engine(self, rng, tmp_path):
+        cases = random_cases(rng, 50, dim=8, nnz=4, n_labels=3)
+        coder = MinimalCoder(6)
+        idx = HashIndex.build(cases[:30], coder)
+        assert all(idx.code(c.id) == coder.code(c) for c in cases[:30])
+        # at radius r every stored case is a candidate, so no solve comes up empty
+        eng = CbrEngine(idx, coder, top_n=3, max_radius=6, update_interval=5)
+        for case in cases[30:40]:
+            rec = eng.solve(case, true_label=case.label)
+            assert rec.retained and rec.suggestion.label is not None
+            assert idx.code(case.id) == coder.code(case)
+
+        inverted = MinimalCoder(6, invert=True)
+        assert idx.replace_codes(inverted) == len(idx) == 40
+        assert all(idx.code(c.id) == inverted.code(c) for c in cases[:40])
+        idx.save(tmp_path / "cases.idx")
+        loaded = HashIndex.load(tmp_path / "cases.idx")
+        for q in cases[40:]:
+            want = idx.retrieve(q, inverted.code(q), top_n=3, max_radius=6)
+            got = loaded.retrieve(q, inverted.code(q), top_n=3, max_radius=6)
+            assert (got.ids, got.distances.tolist()) == (want.ids, want.distances.tolist())
+
+        eng = CbrEngine(loaded, inverted, top_n=3, max_radius=6)
+        for case in cases[40:]:
+            assert eng.solve(case, true_label=case.label).retained
+        loaded.save(tmp_path / "written.idx")
+        HashIndex.build(cases, inverted).save(tmp_path / "built.idx")
+        assert (tmp_path / "written.idx").read_bytes() == (tmp_path / "built.idx").read_bytes()

@@ -325,6 +325,28 @@ class TestExitCodes:
                          "--config", "/nonexistent/c.cfg")
         assert code == 2
 
+    @pytest.mark.parametrize("argv, extra_config", [
+        (["eval", "--folds", "1"], ""),
+        (["eval", "--train-frac", "1.5", "--hash", "lsh"], ""),
+        (["bench", "--queries", "0", "--hash", "lsh"], ""),
+        (["bench", "--queries", "-5", "--hash", "lsh"], ""),
+        (["train"], "batch_size = 1\n"),
+        (["train"], "batch_size = 0\n"),
+        (["stream", "--hash", "lsh", "--radius", "-1"], ""),
+    ], ids=["folds-1", "train-frac-1.5", "queries-0", "queries-negative", "batch-size-1",
+            "batch-size-0", "radius-negative"])
+    def test_bad_number_exits_2(self, tmp_path, data_file, capsys, argv, extra_config):
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text(FAST_CONFIG + extra_config)
+        try:
+            code = main([*argv, "--data", data_file, "--config", str(cfg)])
+        except SystemExit as exc:  # argparse rejects a flag before main runs
+            code = exc.code
+        err = capsys.readouterr().err
+        assert code == 2
+        assert "error:" in err
+        assert "Traceback" not in err
+
 
 class TestModelErrors:
     @pytest.fixture

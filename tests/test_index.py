@@ -108,6 +108,7 @@ class TestIndexMutation:
             idx.remove(case.id)
         assert len(idx) == 0 and idx.n_buckets == 0
         assert idx.retrieve(cases[0], planes.code(cases[0]), top_n=3).ids == []
+        assert idx.linear_scan(cases[0], top_n=3).ids == []
 
     def test_remove_then_retrieve_consistent(self, rng):
         idx, cases, planes = small_index(rng)
@@ -145,7 +146,7 @@ class TestIndexMutation:
         cases = cases + [extra]
         idx.replace_codes(coder)
         assert [idx.code(c.id).words for c in cases] == [
-            tuple(row) for row in coder.code_batch(cases).tolist()]
+            tuple(row) for row in coder.code_rows(cases_to_csr(cases, 10)).tolist()]
 
         calls = []
         real = index_module.cases_to_csr
@@ -153,6 +154,27 @@ class TestIndexMutation:
                             lambda *args, **kw: calls.append(args) or real(*args, **kw))
         got = idx.retrieve(cases[0], idx.code(cases[0].id), top_n=3)
         assert got.ids and calls == []  # the recode's snapshot serves it
+
+    def test_build_converts_once(self, rng, monkeypatch, tmp_path):
+        cases = random_cases(rng, 30, dim=10, nnz=4)
+        planes, other = LshPlanes.sample(8, 10, seed=3), LshPlanes.sample(8, 10, seed=99)
+        calls = []
+        real = index_module.cases_to_csr
+        monkeypatch.setattr(index_module, "cases_to_csr",
+                            lambda *args, **kw: calls.append(args) or real(*args, **kw))
+        idx = HashIndex.build(cases, planes)
+        assert len(calls) == 1
+        idx.save(tmp_path / "built.idx")
+        assert idx.retrieve(cases[0], planes.code(cases[0]), top_n=3).ids
+        assert idx.linear_scan(cases[0], top_n=3).ids
+        idx.replace_codes(other)
+        assert len(calls) == 1  # save, the queries and the recode kept the build's matrix
+
+        extra = make_case(10, [(2, 0.5)], case_id=30)
+        idx.insert(extra, other.code(extra))
+        idx.save(tmp_path / "written.idx")
+        HashIndex.build(cases + [extra], other).save(tmp_path / "fresh.idx")
+        assert (tmp_path / "written.idx").read_bytes() == (tmp_path / "fresh.idx").read_bytes()
 
     def test_replace_codes_checks_the_coder_dim(self, rng):
         idx, _, _ = small_index(rng)

@@ -49,18 +49,18 @@ class TableCoder:
     codes an index's feature matrix, given the cases in its row order, and
     checks that the matrix rows hold those cases' features."""
 
-    def __init__(self, r, table, rows=()):
+    def __init__(self, r, table, rows):
         self.r = r
         self.table = table
         self.rows = list(rows)
 
-    def code_batch(self, cases) -> np.ndarray:
-        return np.array([self.table[c.id].words for c in cases],
-                        dtype=np.uint64).reshape(len(cases), (self.r + 63) // 64)
+    def code(self, case) -> HashCode:
+        return self.table[case.id]
 
     def code_rows(self, x) -> np.ndarray:
         assert (x != cases_to_csr(self.rows, DIM)).nnz == 0
-        return self.code_batch(self.rows)
+        return np.array([self.table[c.id].words for c in self.rows],
+                        dtype=np.uint64).reshape(len(self.rows), (self.r + 63) // 64)
 
 
 def operations(r):
@@ -107,8 +107,9 @@ def fresh_index(r, stored):
     """A built index of stored's cases with their codes, empty when stored is."""
     if not stored:
         return HashIndex(r=r, dim=DIM)
-    return HashIndex.build([case for case, _ in stored.values()],
-                           TableCoder(r, {cid: code for cid, (_, code) in stored.items()}))
+    cases = [case for case, _ in stored.values()]
+    return HashIndex.build(cases, TableCoder(r, {cid: code for cid, (_, code) in stored.items()},
+                                             cases))
 
 
 def run_operations(r, initial, ops):

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from casehash import HashCode, LshPlanes
-from casehash.sparse import SparseCase, SparseVector
+from casehash.sparse import SparseCase, SparseVector, cases_to_csr
 
 from conftest import make_case, random_cases
 
@@ -40,7 +40,7 @@ class TestLshPlanes:
     def test_batch_matches_single(self, rng):
         planes = LshPlanes.sample(24, 15, seed=3)
         cases = random_cases(rng, 20, dim=15, nnz=4)
-        words = planes.code_batch(cases)
+        words = planes.code_rows(cases_to_csr(cases, 15))
         assert [HashCode(r=24, words=tuple(row)) for row in words.tolist()] == [
             planes.code(c) for c in cases]
 

@@ -21,7 +21,6 @@ from casehash import (
     HashIndex,
     Hyperparams,
     LshPlanes,
-    forward_batch,
     hash_case,
     init_params,
     load_checkpoint,
@@ -40,7 +39,8 @@ from casehash.network import (
 
 from casehash.sparse import cases_to_csr
 
-from conftest import case_output, interact, interact_bruteforce, make_case, random_cases
+from conftest import (case_output, forward_batch, interact, interact_bruteforce, make_case,
+                      random_cases)
 
 
 class TestSquash:
@@ -158,10 +158,10 @@ class TestCodeBatch:
         else:
             coder = LshPlanes.sample(r, 12, seed=r)
         cases = random_cases(rng, 23, dim=12, nnz=4) + [make_case(12, [], case_id=23)]
-        words = coder.code_batch(cases)
+        words = coder.code_rows(cases_to_csr(cases, 12))
         assert words.dtype == np.uint64 and words.shape == (24, (r + 63) // 64)
         assert [tuple(row) for row in words.tolist()] == [coder.code(c).words for c in cases]
-        empty = coder.code_batch([])
+        empty = coder.code_rows(cases_to_csr([], 12))
         assert empty.dtype == np.uint64 and empty.shape == (0, (r + 63) // 64)
 
 
@@ -209,7 +209,7 @@ class TestBlockedForward:
         x = cases_to_csr(block_cases, 12)
         assert np.array_equal(params.code_rows(x), params.code_batch(block_cases))
         with pytest.raises(DataFormatError):
-            params.code_rows(cases_to_csr(block_cases[:3], 12, extra_ones_column=True))
+            params.code_rows(cases_to_csr([make_case(13, [(0, 1.0), (12, 1.0)])], 13))
 
     def test_non_finite_output_in_later_block(self, block_cases, small_params, monkeypatch):
         # one case in the second block overflows: inf - inf in the interaction

@@ -256,12 +256,6 @@ class TestCsr:
         dense = np.stack([c.features.to_dense() for c in cases])
         assert np.array_equal(x.toarray(), dense)
 
-    def test_extra_ones_column(self):
-        cases = [make_case(3, [(1, 2.0)])]
-        x = cases_to_csr(cases, 3, extra_ones_column=True)
-        assert x.shape == (1, 4)
-        assert x.toarray()[0, 3] == 1.0
-
     def test_dim_mismatch(self):
         with pytest.raises(DataFormatError):
             cases_to_csr([make_case(3, [(1, 2.0)])], 5)
@@ -271,17 +265,13 @@ class TestCsr:
         with pytest.raises(DataFormatError, match="case 8 dim 4"):
             cases_to_csr(cases, 5)
 
-    @pytest.mark.parametrize("extra", [False, True])
-    def test_arrays_row_by_row(self, extra):
-        # empty rows first, between and last, where the ones column closes them
+    def test_arrays_row_by_row(self):
+        # empty rows first, between and last
         rows = [[], [(0, 1.5), (3, -2.0)], [], [(2, 0.25)], []]
-        x = cases_to_csr([make_case(4, r, case_id=k) for k, r in enumerate(rows)], 4,
-                         extra_ones_column=extra)
-        tail = [(4, 1.0)] if extra else []
-        want = [r + tail for r in rows]
-        assert x.shape == (5, 5 if extra else 4)
-        assert x.indptr.tolist() == np.cumsum([0] + [len(r) for r in want]).tolist()
-        assert x.indices.tolist() == [i for r in want for i, _ in r]
-        assert x.data.tolist() == [v for r in want for _, v in r]
+        x = cases_to_csr([make_case(4, r, case_id=k) for k, r in enumerate(rows)], 4)
+        assert x.shape == (5, 4)
+        assert x.indptr.tolist() == np.cumsum([0] + [len(r) for r in rows]).tolist()
+        assert x.indices.tolist() == [i for r in rows for i, _ in r]
+        assert x.data.tolist() == [v for r in rows for _, v in r]
         assert x.data.dtype == np.float64
-        assert cases_to_csr([], 4, extra_ones_column=extra).shape == (0, 5 if extra else 4)
+        assert cases_to_csr([], 4).shape == (0, 4)

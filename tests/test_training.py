@@ -13,12 +13,12 @@ from casehash import (
     sample_pairs,
     train,
 )
-from casehash import forward_batch
 from casehash.training import adaptive_objective_and_grad
 
 from conftest import (
     adaptive_loss,
     finite_diff_grad,
+    forward_batch,
     make_case,
     pair_loss,
     random_cases,
