@@ -4,7 +4,8 @@ Subcommands: train, eval, stream, bench, index, query. Configuration comes
 from defaults, then an optional key=value --config file, then explicit
 flags; the resolved configuration is echoed to stderr as `# key=value`
 lines before any work starts. Exit codes: 0 success, 2 configuration or
-usage error, 3 malformed or missing input data, 4 training divergence.
+usage error or an output that cannot be written, 3 malformed, missing or
+unreadable input data, 4 training divergence.
 """
 
 from __future__ import annotations
@@ -150,17 +151,28 @@ def echo_config(cfg: RunConfig, args) -> None:
 
 
 def load_dataset(args):
-    """Cases plus (for CSV input) the fitted-vocabulary schema."""
+    """Cases plus (for CSV input) the fitted-vocabulary schema; a data file
+    that cannot be read as UTF-8 text or holds no case raises
+    DataFormatError."""
     if not getattr(args, "data", None):
         raise ConfigError("--data is required")
+    spec = None
     if getattr(args, "schema", None):
         try:
             with open(args.schema, "r", encoding="utf-8") as fh:
                 spec = parse_schema_spec(fh.read())
         except OSError as exc:
             raise ConfigError(f"cannot read schema file: {exc}") from None
-        return load_csv(args.data, spec)
-    return load_sparse_text(args.data), None
+    try:
+        if spec is None:
+            cases, schema = load_sparse_text(args.data), None
+        else:
+            cases, schema = load_csv(args.data, spec)
+    except (OSError, UnicodeDecodeError) as exc:
+        raise DataFormatError(f"cannot read data file {args.data}: {exc}") from None
+    if not cases:
+        raise DataFormatError(f"{args.data}: no cases")
+    return cases, schema
 
 
 def _normalized(schema, fit_on, *case_lists):
@@ -393,6 +405,8 @@ def cmd_query(args, cfg: RunConfig) -> int:
     coder = _make_coder(args, cfg, queries)
     if coder is None:
         raise ConfigError("query requires --model or --hash lsh")
+    if coder.r != idx.r:
+        raise ConfigError(f"coder width {coder.r} does not match index width {idx.r}")
     for query in queries:
         res = idx.retrieve(query, coder.code(query), cfg.hyper.top_n,
                            max_radius=cfg.max_radius)
@@ -481,10 +495,12 @@ def main(argv=None) -> int:
         cfg = build_config(args)
         echo_config(cfg, args)
         return _COMMANDS[args.command](args, cfg)
-    except ConfigError as exc:
+    # every input is read under ConfigError or DataFormatError, so an OSError
+    # here failed to write an output, such as an --out that is a directory
+    except (ConfigError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (FileNotFoundError, DataFormatError) as exc:
+    except DataFormatError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
     except DivergenceError as exc:

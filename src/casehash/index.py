@@ -3,15 +3,18 @@
 Row k holds the k-th stored case: its id and label as entry k of two int64
 arrays, its code as row k of one packed uint64 (n, ceil(r/64)) array, the
 array a coder's code_rows returns, and row k of the feature snapshot, a CSR
-matrix; only code(id) builds a HashCode. build converts its cases to that
-matrix once, codes it and keeps it, so neither save nor the first query
-converts again. A loaded index keeps its rows only in that snapshot, checked
-as one block, and builds a SparseCase only when case(id) asks, until its
-first insert or remove builds the case list once. An insert or a remove
-drops the snapshot, and the next read rebuilds it from the case list. Each
-bucket is an ascending int64 array of the rows that share one code; an
-insert appends one row to the code array and one to a bucket, and a remove
-or a recode regroups every bucket in bulk. A query gathers candidates by
+matrix; only code(id) builds a HashCode. build, load and remove each end in
+_set_rows, the one place that sets these arrays, maps ids to rows and groups
+the buckets. build converts its cases to that matrix once, codes it and
+keeps it, so neither save nor the first query converts again. The index
+file stores the matrix's index and value arrays as two blocks, so a loaded
+index reads them straight into its snapshot, checked as one block, and
+builds a SparseCase only when case(id) asks, until its first insert or
+remove builds the case list once. An insert or a remove drops the snapshot,
+and the next read rebuilds it from the case list. Each bucket is an
+ascending int64 array of the rows that share one code; an insert appends one
+row to the code array and one to a bucket, and a remove or a recode
+regroups every bucket in bulk. A query gathers candidates by
 expanding the Hamming ball around its code one complete radius level at a
 time (0, then 1, then 2 by default), stopping as soon as enough candidates
 exist; since buckets are disjoint the gathered arrays concatenate into the
@@ -38,7 +41,7 @@ from .network import HashCode, unpack_words
 from .sparse import DataFormatError, SparseCase, SparseVector, cases_to_csr
 
 INDEX_MAGIC = b"CHIX"
-INDEX_VERSION = 1
+INDEX_VERSION = 2
 
 
 def _code_key(words) -> int:
@@ -63,12 +66,6 @@ def _group(words: np.ndarray) -> dict[int, np.ndarray]:
     keys = [_code_key(row) for row in ordered[starts].tolist()]
     bounds = [*starts.tolist(), len(order)]
     return {key: order[a:b] for key, a, b in zip(keys, bounds, bounds[1:])}
-
-
-def _feature_mask(nnz: np.ndarray) -> np.ndarray:
-    """True at the index slots of the per-case (indices, values) runs that
-    the index file interleaves: nnz[k] indices, then nnz[k] values."""
-    return np.repeat(np.tile([True, False], len(nnz)), np.repeat(nnz, 2))
 
 
 @dataclass
@@ -146,25 +143,27 @@ class HashIndex:
         cases = list(cases)
         if not cases:
             raise ValueError("cannot build an index from zero cases")
-        idx = cls(r=coder.r, dim=cases[0].features.dim)
-        for case in cases:
-            idx._append(case)
-        idx._ids = np.fromiter(idx._row, dtype=np.int64, count=len(cases))
-        idx._labels = np.fromiter((c.label for c in cases), dtype=np.int64, count=len(cases))
-        idx._snapshot = _snapshot(cases_to_csr(cases, idx.dim))
-        idx._words = coder.code_rows(idx._snapshot[0])
-        idx._regroup()
-        return idx
+        x = cases_to_csr(cases, cases[0].features.dim)
+        idx = cls(r=coder.r, dim=x.shape[1])
+        idx._cases = cases
+        ids = np.fromiter((c.id for c in cases), dtype=np.int64, count=len(cases))
+        labels = np.fromiter((c.label for c in cases), dtype=np.int64, count=len(cases))
+        return idx._set_rows(ids, labels, coder.code_rows(x), x)
 
-    def _append(self, case: SparseCase) -> None:
-        if case.id in self._row:
-            raise KeyError(f"duplicate case id {case.id}")
-        if case.features.dim != self.dim:
-            raise DataFormatError(
-                f"case dim {case.features.dim} does not match index dim {self.dim}")
-        cases = self._own_cases()
-        self._row[case.id] = len(cases)
-        cases.append(case)
+    def _set_rows(self, ids: np.ndarray, labels: np.ndarray, words: np.ndarray,
+                  x) -> "HashIndex":
+        """Map each id to its row, a repeated id raising DataFormatError;
+        make row k hold ids[k], labels[k], code words[k] and row k of the CSR
+        matrix x, which becomes the snapshot (None after a write); regroup
+        the buckets."""
+        self._row = dict(zip(ids.tolist(), range(len(ids))))
+        if len(self._row) != len(ids):
+            uniq, counts = np.unique(ids, return_counts=True)
+            raise DataFormatError(f"duplicate case id {uniq[counts > 1][0]}")
+        self._ids, self._labels, self._words = ids, labels, words
+        self._buckets = _group(self._words)
+        self._snapshot = None if x is None else _snapshot(x)
+        return self
 
     def _own_cases(self) -> list[SparseCase]:
         """The case list; a loaded index builds it from its snapshot once."""
@@ -185,14 +184,13 @@ class HashIndex:
                 for cid, a, b, label in zip(self._ids[start:stop].tolist(), bounds, bounds[1:],
                                             self._labels[start:stop].tolist())]
 
-    def _regroup(self) -> None:
-        """Rebuild every bucket from the code array."""
-        self._buckets = _group(self._words)
-
     def insert(self, case: SparseCase, code: HashCode) -> None:
-        if code.r != self.r:
-            raise ValueError(f"code width {code.r} does not match index width {self.r}")
-        self._append(case)
+        self._check(case, code)
+        if case.id in self._row:
+            raise KeyError(f"duplicate case id {case.id}")
+        cases = self._own_cases()
+        self._row[case.id] = len(cases)
+        cases.append(case)
         self._ids, self._labels = np.append(self._ids, case.id), np.append(self._labels, case.label)
         self._words = np.concatenate((self._words, np.array([code.words], dtype=np.uint64)))
         row = np.array([len(self) - 1], dtype=np.int64)
@@ -206,11 +204,8 @@ class HashIndex:
             raise KeyError(f"unknown case id {case_id}")
         row = self._row[case_id]
         case = self._own_cases().pop(row)
-        self._row = {c.id: k for k, c in enumerate(self._cases)}  # later rows move up
-        self._ids, self._labels = np.delete(self._ids, row), np.delete(self._labels, row)
-        self._words = np.delete(self._words, row, axis=0)
-        self._regroup()
-        self._snapshot = None
+        self._set_rows(np.delete(self._ids, row), np.delete(self._labels, row),
+                       np.delete(self._words, row, axis=0), None)  # later rows move up
         return case
 
     def replace_codes(self, coder) -> int:
@@ -221,8 +216,17 @@ class HashIndex:
             raise ValueError(f"coder width {coder.r} does not match index width {self.r}")
         # code the snapshot's rows, and keep it: rows and features are unchanged
         old, self._words = self._words, coder.code_rows(self._matrix()[0])
-        self._regroup()
+        self._buckets = _group(self._words)
         return int(np.count_nonzero((old != self._words).any(axis=1)))
+
+    def _check(self, case: SparseCase, code: HashCode | None = None) -> None:
+        """DataFormatError unless the case has the index's dim, ValueError
+        unless the code, when given, has its width."""
+        if case.features.dim != self.dim:
+            raise DataFormatError(f"case {case.id} dim {case.features.dim} does not match "
+                                  f"index dim {self.dim}")
+        if code is not None and code.r != self.r:
+            raise ValueError(f"code width {code.r} does not match index width {self.r}")
 
     def _level(self, key: int, t: int) -> list[np.ndarray]:
         """Bucket arrays of the codes at exactly Hamming distance t."""
@@ -237,6 +241,8 @@ class HashIndex:
         """Ids of stored cases whose codes lie within the Hamming radius."""
         if radius < 0:
             raise ValueError("radius must be >= 0")
+        if code.r != self.r:
+            raise ValueError(f"code width {code.r} does not match index width {self.r}")
         key = _code_key(code.words)
         parts = [b for t in range(radius + 1) for b in self._level(key, t)]
         return set(self._ids[np.concatenate(parts)].tolist()) if parts else set()
@@ -277,9 +283,7 @@ class HashIndex:
         once top_n candidates exist, the radius is exhausted, or a completed
         level has pushed the count past max_candidates (sets truncated).
         """
-        if query.features.dim != self.dim:
-            raise DataFormatError(
-                f"query dim {query.features.dim} does not match index dim {self.dim}")
+        self._check(query, code)
         if top_n < 1:
             raise ValueError("top_n must be >= 1")
 
@@ -319,9 +323,7 @@ class HashIndex:
 
     def linear_scan(self, query: SparseCase, top_n: int) -> RetrievalResult:
         """Exact top_n over every stored case; the oracle retrieve is judged by."""
-        if query.features.dim != self.dim:
-            raise DataFormatError(
-                f"query dim {query.features.dim} does not match index dim {self.dim}")
+        self._check(query)
         t0 = time.perf_counter_ns()
         dists = self._distances_to(query, None)
         ranked_ids, ranked_d = self._rank(self._ids, dists, top_n)
@@ -331,35 +333,35 @@ class HashIndex:
                                rerank_us=rerank_us)
 
     def save(self, path) -> None:
-        """Binary dump: header, id/code/label/nnz arrays, then each case's
-        feature indices followed by its values, in ascending id order."""
+        """Binary dump, little-endian, in ascending id order: the magic, then
+        int64 version, r, dim and n, the n ids, the n codes as ceil(r/64)
+        uint64 words each, the n labels and the n feature counts, then the
+        feature matrix's CSR arrays as two blocks: every case's indices
+        (int64), then every case's values (float64)."""
         order = np.argsort(self._ids)
         indptr, indices, values = _gather_rows(self._matrix()[0], order)
-        nnz = np.diff(indptr)
-        feats = np.empty(2 * len(indices), dtype="<i8")
-        mask = _feature_mask(nnz)
-        feats[mask] = indices
-        feats[~mask] = values.astype("<f8", copy=False).view("<i8")
         with open(str(path), "wb") as fh:
             fh.write(INDEX_MAGIC)
             np.array([INDEX_VERSION, self.r, self.dim, len(order)], dtype="<i8").tofile(fh)
             self._ids[order].astype("<i8", copy=False).tofile(fh)
             self._words[order].astype("<u8", copy=False).tofile(fh)
             self._labels[order].astype("<i8", copy=False).tofile(fh)
-            nnz.astype("<i8", copy=False).tofile(fh)
-            feats.tofile(fh)
+            np.diff(indptr).astype("<i8", copy=False).tofile(fh)
+            indices.astype("<i8", copy=False).tofile(fh)
+            values.astype("<f8", copy=False).tofile(fh)
 
     @classmethod
     def load(cls, path) -> "HashIndex":
-        """Read a file written by save(); a short or corrupt file raises
-        DataFormatError. The rows stay in the feature snapshot: no case
-        object is built."""
+        """Read a file written by save(); a short or corrupt file, or one of
+        another version, raises DataFormatError. The rows stay in the
+        feature snapshot: no case object is built."""
         with open(str(path), "rb") as fh:
             if fh.read(4) != INDEX_MAGIC:
                 raise DataFormatError("not an index file")
             version, r, dim, n = (int(x) for x in _read(fh, "<i8", 4))
-            if version != INDEX_VERSION:
-                raise DataFormatError(f"unsupported index version {version}")
+            if version != INDEX_VERSION:  # version 1 interleaved each case's features
+                raise DataFormatError(f"index file version {version} is not {INDEX_VERSION}; "
+                                      "rebuild it with `casehash index`")
             if r < 1 or dim < 1 or n < 0:
                 raise DataFormatError(f"corrupt index header: r={r} dim={dim} n={n}")
             n_words = (r + 63) // 64
@@ -372,25 +374,16 @@ class HashIndex:
             nnz = _read(fh, "<i8", n).astype(np.int64)
             if (nnz < 0).any():
                 raise DataFormatError(f"corrupt index file: negative count {nnz.min()}")
-            feats = _read(fh, "<i8", 2 * sum(nnz.tolist()))
-        mask = _feature_mask(nnz)
-        indices = feats[mask].astype(np.int64)
-        values = feats[~mask].view("<f8").astype(np.float64)
-        del feats, mask
+            total = sum(nnz.tolist())
+            indices = _read(fh, "<i8", total).astype(np.int64, copy=False)
+            values = _read(fh, "<f8", total).astype(np.float64, copy=False)
         indptr = np.r_[0, np.cumsum(nnz)]
         _check_features(ids, indptr, indices, values, dim)
 
         idx = cls(r=r, dim=dim)
-        idx._row = dict(zip(ids.tolist(), range(n)))
-        if len(idx._row) != n:
-            raise DataFormatError("corrupt index file: duplicate case ids")
         idx._cases = None
-        idx._ids = ids
-        idx._labels = labels
-        idx._words = words
-        idx._buckets = _group(words)
-        idx._snapshot = _snapshot(sp.csr_matrix((values, indices, indptr), shape=(n, dim)))
-        return idx
+        return idx._set_rows(ids, labels, words,
+                             sp.csr_matrix((values, indices, indptr), shape=(n, dim)))
 
 
 def _check_features(ids, indptr, indices, values, dim: int) -> None:

@@ -257,7 +257,7 @@ class TestIndexAndQuery:
         nnz = np.frombuffer(bytes(data), dtype="<i8", count=80, offset=counts)
         k = int(np.flatnonzero(nnz >= 2)[0])
         # the case's second feature index repeats its first
-        first = counts + 8 * 80 + 16 * int(nnz[:k].sum())
+        first = counts + 8 * 80 + 8 * int(nnz[:k].sum())
         data[first + 8:first + 16] = data[first:first + 8]
         idx_path.write_bytes(bytes(data))
         code, stdout, err = run(
@@ -265,6 +265,36 @@ class TestIndexAndQuery:
             "--hash", "lsh", "--bits", "8")
         assert code == 3
         assert "ascending" in err
+        assert stdout == ""
+
+    def test_version_1_index_exits_3(self, tmp_path, data_file, capsys):
+        idx_path = tmp_path / "c.idx"
+        code, _, _ = run(
+            capsys, "index", "--data", data_file, "--hash", "lsh", "--bits", "8",
+            "--out", str(idx_path))
+        assert code == 0
+        data = bytearray(idx_path.read_bytes())
+        data[4:12] = np.array([1], dtype="<i8").tobytes()  # the version word
+        idx_path.write_bytes(bytes(data))
+        code, stdout, err = run(
+            capsys, "query", "--index", str(idx_path), "--data", data_file,
+            "--hash", "lsh", "--bits", "8")
+        assert code == 3
+        assert "rebuild it with `casehash index`" in err
+        assert stdout == ""
+
+    @pytest.mark.parametrize("bits", ["16", "80"])
+    def test_coder_width_mismatch_exits_2(self, tmp_path, data_file, capsys, bits):
+        idx_path = tmp_path / "c.idx"
+        code, _, _ = run(
+            capsys, "index", "--data", data_file, "--hash", "lsh", "--bits", "24",
+            "--out", str(idx_path))
+        assert code == 0
+        code, stdout, err = run(
+            capsys, "query", "--index", str(idx_path), "--data", data_file,
+            "--hash", "lsh", "--bits", bits)
+        assert code == 2
+        assert f"coder width {bits} does not match index width 24" in err
         assert stdout == ""
 
     def test_index_requires_coder(self, data_file, capsys):
@@ -314,6 +344,42 @@ class TestExitCodes:
         p.write_text("0 not-a-pair\n")
         code, _, _ = run(capsys, "train", "--data", str(p))
         assert code == 3
+
+    def test_data_is_a_directory(self, tmp_path, capsys):
+        code, _, err = run(capsys, "index", "--data", str(tmp_path), "--hash", "lsh")
+        assert code == 3
+        assert "cannot read data file" in err and "Traceback" not in err
+
+    def test_data_not_utf8(self, tmp_path, capsys):
+        p = tmp_path / "latin1.txt"
+        p.write_bytes("0 1:1.0 # caf\xe9\n".encode("latin-1"))
+        code, _, err = run(capsys, "index", "--data", str(p), "--hash", "lsh")
+        assert code == 3
+        assert "cannot read data file" in err and "Traceback" not in err
+
+    @pytest.mark.parametrize("text, schema", [
+        ("", None),
+        ("# a comment\n\n", None),
+        ("num,cat,y\n", "num=numeric\ncat=categorical\ny=label\n"),
+    ], ids=["empty", "comments-only", "csv-header-only"])
+    def test_data_without_cases(self, tmp_path, capsys, text, schema):
+        p = tmp_path / "none.txt"
+        p.write_text(text)
+        argv = ["index", "--data", str(p), "--hash", "lsh"]
+        if schema is not None:
+            (tmp_path / "none.schema").write_text(schema)
+            argv += ["--schema", str(tmp_path / "none.schema")]
+        code, _, err = run(capsys, *argv)
+        assert code == 3
+        assert "no cases" in err and "Traceback" not in err
+
+    @pytest.mark.parametrize("out", [".", "missing/c.idx"], ids=["directory", "missing-dir"])
+    def test_unwritable_out(self, tmp_path, data_file, capsys, out):
+        code, stdout, err = run(capsys, "index", "--data", data_file, "--hash", "lsh",
+                                "--bits", "8", "--out", str(tmp_path / out))
+        assert code == 2
+        assert str(tmp_path / out) in err and "Traceback" not in err
+        assert stdout == ""
 
     def test_missing_data_flag(self, capsys):
         code, _, err = run(capsys, "train")

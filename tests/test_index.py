@@ -93,6 +93,21 @@ class TestIndexMutation:
         with pytest.raises(ValueError):
             idx.insert(bad, HashCode.from_signs(np.ones(9)))
 
+    def test_duplicate_id_in_build_rejected(self, rng):
+        cases = [make_case(10, [(0, 1.0)], case_id=4), make_case(10, [(1, 2.0)], case_id=3),
+                 make_case(10, [(2, 3.0)], case_id=4)]
+        with pytest.raises(DataFormatError, match="duplicate case id 4"):
+            HashIndex.build(cases, LshPlanes.sample(8, 10, seed=3))
+
+    @pytest.mark.parametrize("r", [7, 9, 70])
+    def test_read_code_width_rejected(self, rng, r):
+        idx, cases, _ = small_index(rng)
+        code = LshPlanes.sample(r, 10, seed=3).code(cases[0])
+        with pytest.raises(ValueError, match=f"code width {r} does not match index width 8"):
+            idx.retrieve(cases[0], code, top_n=3)
+        with pytest.raises(ValueError, match=f"code width {r} does not match index width 8"):
+            idx.candidates_within(code, 1)
+
     def test_remove(self, rng):
         idx, cases, _ = small_index(rng)
         removed = idx.remove(7)
@@ -287,7 +302,7 @@ def reference_save(idx, path):
     ids = idx.ids()
     with open(path, "wb") as fh:
         fh.write(b"CHIX")
-        np.array([1, idx.r, idx.dim, len(ids)], dtype="<i8").tofile(fh)
+        np.array([2, idx.r, idx.dim, len(ids)], dtype="<i8").tofile(fh)
         np.array(ids, dtype="<i8").tofile(fh)
         for i in ids:
             np.array(idx.code(i).words, dtype="<u8").tofile(fh)
@@ -295,6 +310,7 @@ def reference_save(idx, path):
         np.array([idx.case(i).features.nnz for i in ids], dtype="<i8").tofile(fh)
         for i in ids:
             np.array(idx.case(i).features.indices, dtype="<i8").tofile(fh)
+        for i in ids:
             np.array(idx.case(i).features.values, dtype="<f8").tofile(fh)
 
 
@@ -339,6 +355,14 @@ class TestPersistence:
         with pytest.raises(DataFormatError):
             HashIndex.load(p)
 
+    def test_version_1_file_refused(self, rng, tmp_path):
+        idx, _, _ = small_index(rng)
+        p = tmp_path / "cases.idx"
+        idx.save(p)
+        patch(p, 4, 1)  # the version word
+        with pytest.raises(DataFormatError, match="version 1.*rebuild it with `casehash index`"):
+            HashIndex.load(p)
+
     def test_truncated_file_rejected(self, rng, tmp_path):
         idx, _, _ = small_index(rng)
         p = tmp_path / "cases.idx"
@@ -359,10 +383,11 @@ def two_case_file(tmp_path):
         idx.insert(case, HashCode(r=8, words=(case.id + 5,)))
     path = tmp_path / "two.idx"
     idx.save(path)
-    # magic, 4 header words, then 2 ids, 2 code words, 2 labels, 2 counts
+    # magic, 4 header words, then 2 ids, 2 code words, 2 labels, 2 counts,
+    # the 3 feature indices and the 3 values
     head = 4 + 8 * 4
     offsets = {"id1": head + 8, "word0": head + 16, "nnz0": head + 48,
-               "idx0": head + 64, "idx1": head + 72, "val0": head + 80}
+               "idx0": head + 64, "idx1": head + 72, "val0": head + 88}
     return path, offsets
 
 
@@ -383,11 +408,11 @@ def rows_file(tmp_path, rows):
     path = tmp_path / "rows.idx"
     idx.save(path)
     at = 4 + 8 * 4 + 8 * 4 * len(rows)  # magic, header, ids, codes, labels, counts
+    to_values = 8 * sum(map(len, rows))  # the values block follows the indices block
     entries = []
     for pairs in rows:
-        n = len(pairs)
-        entries.append([(at + 8 * j, at + 8 * (n + j)) for j in range(n)])
-        at += 16 * n
+        entries.append([(at + 8 * j, at + to_values + 8 * j) for j in range(len(pairs))])
+        at += 8 * len(pairs)
     return path, entries
 
 
