@@ -11,6 +11,7 @@ unreadable input data, 4 training divergence.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import sys
 from dataclasses import dataclass, field, fields
@@ -284,6 +285,12 @@ def _write_mean_csv(path, mean: dict) -> None:
         fh.write(",".join("" if mean[k] is None else str(mean[k]) for k in keys) + "\n")
 
 
+def _lines_out(args):
+    """Where the JSONL lines go: the --out file, opened now so that one that
+    cannot be written fails before any work, else stdout."""
+    return open(args.out, "w", encoding="utf-8") if args.out else contextlib.nullcontext(sys.stdout)
+
+
 def cmd_stream(args, cfg: RunConfig) -> int:
     cases, schema = load_dataset(args)
     n_init = max(2, int(round(len(cases) * args.train_frac)))
@@ -291,7 +298,13 @@ def cmd_stream(args, cfg: RunConfig) -> int:
         raise ConfigError("train fraction leaves no cases to stream")
     init, rest = cases[:n_init], cases[n_init:]
     init, rest = _normalized(schema, init, init, rest)
+    with _lines_out(args) as out:
+        return _stream(args, cfg, init, rest, out)
 
+
+def _stream(args, cfg: RunConfig, init, rest, out) -> int:
+    """Seed the index from init, solve rest in order, one JSONL line per
+    solve to out, and give the summary on stderr."""
     coder = _make_coder(args, cfg, init)
     if coder is None:
         coder = _train_coder(init, cfg, args.seed)
@@ -302,7 +315,7 @@ def cmd_stream(args, cfg: RunConfig) -> int:
                        update_epochs=cfg.update_epochs,
                        update_lr=cfg.update_lr,
                        no_update=args.no_update, seed=args.seed)
-    n_correct = n_empty = n_truncated = 0
+    n_correct = n_empty = 0
     # the per-solve phase times the summary gives the p50 and p99 of: the
     # first three over every solve, retain_us over the solves that retained
     # without updating, update_us over the solves that updated
@@ -312,8 +325,6 @@ def cmd_stream(args, cfg: RunConfig) -> int:
         rec = engine.solve(case, true_label=case.label)
         n_correct += 1 if rec.correct else 0
         n_empty += rec.suggestion.label is None
-        retrieval = rec.suggestion.retrieval
-        n_truncated += retrieval.truncated
         line = {
             "id": case.id,
             "predicted": rec.suggestion.label,
@@ -321,9 +332,8 @@ def cmd_stream(args, cfg: RunConfig) -> int:
             "correct": rec.correct,
             "retained": rec.retained,
             "updated": rec.updated,
-            "radius_used": retrieval.radius_used,
-            "n_candidates": retrieval.n_candidates,
-            "truncated": retrieval.truncated,
+            "radius_used": rec.suggestion.retrieval.radius_used,
+            "n_candidates": rec.suggestion.retrieval.n_candidates,
             "hash_us": round(rec.suggestion.hash_us, 1),
             "retrieve_us": round(rec.suggestion.retrieve_us, 1),
             "reuse_us": round(rec.suggestion.reuse_us, 1),
@@ -335,7 +345,7 @@ def cmd_stream(args, cfg: RunConfig) -> int:
                         update_steps=rec.update.steps,
                         recode_us=round(rec.update.recode_us, 1),
                         code_churn=rec.update.churn)
-        print(json.dumps(line))
+        print(json.dumps(line), file=out)
         for name in ("hash_us", "retrieve_us", "reuse_us"):
             phase_us[name].append(line[name])
         if rec.updated:
@@ -346,7 +356,6 @@ def cmd_stream(args, cfg: RunConfig) -> int:
         "streamed": len(rest),
         "accuracy": n_correct / len(rest),
         "empty_retrievals": n_empty,
-        "truncated_retrievals": n_truncated,
         "model_updates": engine.n_updates,
         "final_cases": len(idx),
     }
@@ -407,16 +416,17 @@ def cmd_query(args, cfg: RunConfig) -> int:
         raise ConfigError("query requires --model or --hash lsh")
     if coder.r != idx.r:
         raise ConfigError(f"coder width {coder.r} does not match index width {idx.r}")
-    for query in queries:
-        res = idx.retrieve(query, coder.code(query), cfg.hyper.top_n,
-                           max_radius=cfg.max_radius)
-        print(json.dumps({
-            "id": query.id,
-            "neighbors": res.ids,
-            "distances": [round(float(d), 6) for d in res.distances],
-            "n_candidates": res.n_candidates,
-            "radius_used": res.radius_used,
-        }))
+    with _lines_out(args) as out:
+        for query in queries:
+            res = idx.retrieve(query, coder.code(query), cfg.hyper.top_n,
+                               max_radius=cfg.max_radius)
+            print(json.dumps({
+                "id": query.id,
+                "neighbors": res.ids,
+                "distances": [round(float(d), 6) for d in res.distances],
+                "n_candidates": res.n_candidates,
+                "radius_used": res.radius_used,
+            }), file=out)
     return 0
 
 

@@ -230,8 +230,8 @@ def bench(index: HashIndex, coder, queries, top_n: int = 10,
     """Per-query wall time of code+retrieve against a full linear scan.
 
     A built or loaded index already holds its feature snapshot, and one
-    untimed query makes the probe masks, so neither side is charged for
-    one-off set-up.
+    untimed query rebuilds a snapshot a write dropped, so neither side is
+    charged for one-off set-up.
     """
     if not queries:
         raise ValueError("no queries")

@@ -11,17 +11,20 @@ file stores the matrix's index and value arrays as two blocks, so a loaded
 index reads them straight into its snapshot, checked as one block, and
 builds a SparseCase only when case(id) asks, until its first insert or
 remove builds the case list once. An insert or a remove drops the snapshot,
-and the next read rebuilds it from the case list. Each bucket is an
-ascending int64 array of the rows that share one code; an insert appends one
-row to the code array and one to a bucket, and a remove or a recode
-regroups every bucket in bulk. A query gathers candidates by
-expanding the Hamming ball around its code one complete radius level at a
-time (0, then 1, then 2 by default), stopping as soon as enough candidates
-exist; since buckets are disjoint the gathered arrays concatenate into the
-candidate rows with no set or id search. The survivors are reranked by
-Euclidean distance on the original feature vectors and the top n kept by
-(distance, id). linear_scan ranks every stored case with the same distance
-kernel and serves as the retrieval oracle.
+and the next read rebuilds it from the case list. The buckets are one table:
+the distinct codes as a (n_buckets, words) uint64 array sorted word by word,
+beside each bucket's ascending int64 array of the rows that share its code.
+An insert finds its bucket by binary search, appending its row there or
+placing a new code at its sorted place; a remove or a recode regroups every
+bucket in bulk. A query gathers candidates one complete Hamming radius level
+at a time (0, then 1, then 2 by default), stopping as soon as enough
+candidates exist: level 0 is a binary search of the table, and only a query
+that needs more counts its distance to every bucket, once, and takes the
+buckets at each distance in turn. Since buckets are disjoint the gathered
+arrays concatenate into the candidate rows with no set or id search. The
+survivors are reranked by Euclidean distance on the original feature vectors
+and the top n kept by (distance, id). linear_scan ranks every stored case
+with the same distance kernel and serves as the retrieval oracle.
 """
 
 from __future__ import annotations
@@ -29,7 +32,6 @@ from __future__ import annotations
 import os
 import time
 from dataclasses import dataclass
-from itertools import combinations
 
 import numpy as np
 from scipy import sparse as sp
@@ -44,28 +46,20 @@ INDEX_MAGIC = b"CHIX"
 INDEX_VERSION = 2
 
 
-def _code_key(words) -> int:
-    """The packed words as one int, bit m of the code at bit m of the key."""
-    key = 0
-    for i, w in enumerate(words):
-        key |= w << (64 * i)
-    return key
-
-
-def _group(words: np.ndarray) -> dict[int, np.ndarray]:
-    """Bucket the rows of an (n, n_words) code array by code: key -> rows.
+def _group(words: np.ndarray) -> tuple[np.ndarray, list[np.ndarray]]:
+    """The buckets of an (n, n_words) code array: its distinct codes as one
+    table sorted by word 0, then word 1 and so on, and each code's rows.
 
     One stable sort over the words, so every bucket's rows come out
     ascending.
     """
     if not len(words):
-        return {}
+        return words, []
     order = np.lexsort(words.T[::-1])
     ordered = words[order]
     starts = np.flatnonzero(np.r_[True, (ordered[1:] != ordered[:-1]).any(axis=1)])
-    keys = [_code_key(row) for row in ordered[starts].tolist()]
     bounds = [*starts.tolist(), len(order)]
-    return {key: order[a:b] for key, a, b in zip(keys, bounds, bounds[1:])}
+    return ordered[starts], [order[a:b] for a, b in zip(bounds, bounds[1:])]
 
 
 @dataclass
@@ -76,7 +70,6 @@ class RetrievalResult:
     distances: np.ndarray
     n_candidates: int
     radius_used: int
-    truncated: bool = False
     gather_us: float = 0.0
     rerank_us: float = 0.0
 
@@ -97,9 +90,8 @@ class HashIndex:
         self._labels = np.zeros(0, dtype=np.int64)
         self._words = np.zeros((0, (r + 63) // 64), dtype=np.uint64)
         self._row: dict[int, int] = {}
-        # code key -> ascending row positions; never empty
-        self._buckets: dict[int, np.ndarray] = {}
-        self._masks: dict[int, list[int]] = {}
+        # the distinct codes, sorted, and each one's ascending rows; never empty
+        self._table, self._buckets = _group(self._words)
         self._snapshot = None  # (csr matrix, row squared norms)
 
     def __len__(self) -> int:
@@ -118,7 +110,6 @@ class HashIndex:
         return int(self._labels[self._row[case_id]])
 
     def code(self, case_id: int) -> HashCode:
-        # Python ints, since _code_key shifts word i by 64 * i
         return HashCode(r=self.r, words=tuple(self._words[self._row[case_id]].tolist()))
 
     def ids(self) -> list[int]:
@@ -126,14 +117,14 @@ class HashIndex:
 
     @property
     def n_buckets(self) -> int:
-        return len(self._buckets)
+        return len(self._table)
 
     def stats(self) -> dict:
         """Bucket count, largest bucket and, per bit, the fraction of stored
         cases whose code has that bit set."""
-        sizes = np.array([len(b) for b in self._buckets.values()], dtype=np.int64)
         balance = unpack_words(self._words, self.r).sum(axis=0) / max(len(self), 1)
-        return {"n_buckets": len(sizes), "largest_bucket": int(sizes.max(initial=0)),
+        return {"n_buckets": self.n_buckets,
+                "largest_bucket": max(map(len, self._buckets), default=0),
                 "bit_balance": [float(b) for b in balance]}
 
     @classmethod
@@ -161,7 +152,7 @@ class HashIndex:
             uniq, counts = np.unique(ids, return_counts=True)
             raise DataFormatError(f"duplicate case id {uniq[counts > 1][0]}")
         self._ids, self._labels, self._words = ids, labels, words
-        self._buckets = _group(self._words)
+        self._table, self._buckets = _group(self._words)
         self._snapshot = None if x is None else _snapshot(x)
         return self
 
@@ -194,9 +185,12 @@ class HashIndex:
         self._ids, self._labels = np.append(self._ids, case.id), np.append(self._labels, case.label)
         self._words = np.concatenate((self._words, np.array([code.words], dtype=np.uint64)))
         row = np.array([len(self) - 1], dtype=np.int64)
-        key = _code_key(code.words)
-        bucket = self._buckets.get(key)
-        self._buckets[key] = row if bucket is None else np.concatenate((bucket, row))
+        at, found = self._find(code.words)
+        if found:
+            self._buckets[at] = np.concatenate((self._buckets[at], row))
+        else:
+            self._table = np.insert(self._table, at, self._words[-1], axis=0)
+            self._buckets.insert(at, row)
         self._snapshot = None
 
     def remove(self, case_id: int) -> SparseCase:
@@ -216,7 +210,7 @@ class HashIndex:
             raise ValueError(f"coder width {coder.r} does not match index width {self.r}")
         # code the snapshot's rows, and keep it: rows and features are unchanged
         old, self._words = self._words, coder.code_rows(self._matrix()[0])
-        self._buckets = _group(self._words)
+        self._table, self._buckets = _group(self._words)
         return int(np.count_nonzero((old != self._words).any(axis=1)))
 
     def _check(self, case: SparseCase, code: HashCode | None = None) -> None:
@@ -228,14 +222,28 @@ class HashIndex:
         if code is not None and code.r != self.r:
             raise ValueError(f"code width {code.r} does not match index width {self.r}")
 
-    def _level(self, key: int, t: int) -> list[np.ndarray]:
-        """Bucket arrays of the codes at exactly Hamming distance t."""
-        masks = self._masks.get(t)
-        if masks is None:  # no larger than the key list each probe builds
-            masks = [sum(1 << m for m in bits) for bits in combinations(range(self.r), t)]
-            self._masks[t] = masks
-        get = self._buckets.get
-        return [b for b in map(get, [key ^ m for m in masks]) if b is not None]
+    def _find(self, words) -> tuple[int, bool]:
+        """The table position of a code's words, and whether the table holds
+        that code there: a binary search narrowed word by word, one search
+        for the last word. Each word is compared as np.uint64, since a
+        Python int with bit 63 set need not be."""
+        lo, hi = 0, len(self._table)
+        *head, last = map(np.uint64, words)
+        for i, w in enumerate(head):
+            col = self._table[lo:hi, i]
+            lo, hi = lo + col.searchsorted(w), lo + col.searchsorted(w, "right")
+        at = lo + self._table[lo:hi, -1].searchsorted(last)
+        return at, at < hi and self._table[at, -1] == last
+
+    def _distances(self, words) -> np.ndarray:
+        """The Hamming distance from a code's words to every bucket, summed
+        word by word: a sum over the table's rows costs twice as much at one
+        word. One word's distances stay uint8, whose arithmetic costs least
+        on a cold cache."""
+        dist = np.bitwise_count(self._table[:, 0] ^ np.uint64(words[0]))
+        for i, w in enumerate(words[1:], 1):
+            dist = dist + np.bitwise_count(self._table[:, i] ^ np.uint64(w)).astype(np.int64)
+        return dist
 
     def candidates_within(self, code: HashCode, radius: int) -> set[int]:
         """Ids of stored cases whose codes lie within the Hamming radius."""
@@ -243,8 +251,7 @@ class HashIndex:
             raise ValueError("radius must be >= 0")
         if code.r != self.r:
             raise ValueError(f"code width {code.r} does not match index width {self.r}")
-        key = _code_key(code.words)
-        parts = [b for t in range(radius + 1) for b in self._level(key, t)]
+        parts = [self._buckets[b] for b in np.flatnonzero(self._distances(code.words) <= radius)]
         return set(self._ids[np.concatenate(parts)].tolist()) if parts else set()
 
     def _matrix(self):
@@ -275,42 +282,38 @@ class HashIndex:
         return ids[order].tolist(), dists[order]
 
     def retrieve(self, query: SparseCase, code: HashCode, top_n: int,
-                 max_radius: int = 2, max_candidates: int | None = None) -> RetrievalResult:
+                 max_radius: int = 2) -> RetrievalResult:
         """Gather by growing Hamming radius, then rerank by feature distance.
 
         Levels are always expanded whole, so the candidate set at the final
         radius matches a brute-force Hamming filter exactly. Expansion stops
-        once top_n candidates exist, the radius is exhausted, or a completed
-        level has pushed the count past max_candidates (sets truncated).
+        once top_n candidates exist or the radius is exhausted.
         """
         self._check(query, code)
         if top_n < 1:
             raise ValueError("top_n must be >= 1")
 
         t0 = time.perf_counter_ns()
-        key = _code_key(code.words)
-        parts: list[np.ndarray] = []
-        n_found = 0
+        at, found = self._find(code.words)
+        parts = [self._buckets[at]] if found else []
+        n_found = sum(map(len, parts))
         radius_used = 0
-        truncated = False
-        for t in range(max_radius + 1):
-            radius_used = t
-            level = self._level(key, t)
-            parts += level
-            n_found += sum(map(len, level))
-            if n_found >= top_n:
-                break
-            if max_candidates is not None and n_found >= max_candidates:
-                truncated = True
-                break
+        if n_found < top_n and max_radius > 0:
+            dist = self._distances(code.words)
+            for t in range(1, min(max_radius, self.r) + 1):  # no code lies beyond r
+                level = [self._buckets[b] for b in np.flatnonzero(dist == t).tolist()]
+                parts += level
+                n_found += sum(map(len, level))
+                if n_found >= top_n:
+                    break
+            radius_used = t if n_found >= top_n else max_radius
         # buckets are disjoint, so the rows are distinct
         rows = np.concatenate(parts) if parts else None
         gather_us = (time.perf_counter_ns() - t0) / 1e3
 
         if rows is None:
             return RetrievalResult(ids=[], distances=np.empty(0), n_candidates=0,
-                                   radius_used=radius_used, truncated=truncated,
-                                   gather_us=gather_us)
+                                   radius_used=radius_used, gather_us=gather_us)
 
         t1 = time.perf_counter_ns()
         dists = self._distances_to(query, rows)
@@ -318,8 +321,7 @@ class HashIndex:
         rerank_us = (time.perf_counter_ns() - t1) / 1e3
         return RetrievalResult(ids=ranked_ids, distances=ranked_d,
                                n_candidates=n_found, radius_used=radius_used,
-                               truncated=truncated, gather_us=gather_us,
-                               rerank_us=rerank_us)
+                               gather_us=gather_us, rerank_us=rerank_us)
 
     def linear_scan(self, query: SparseCase, top_n: int) -> RetrievalResult:
         """Exact top_n over every stored case; the oracle retrieve is judged by."""

@@ -127,8 +127,8 @@ def finite_diff_grad(batch, params, eps: float = 1e-5) -> Gradients:
 
 
 def hamming_ball(code, radius: int):
-    """Yield every code within the given Hamming radius, nearest level first:
-    the explicit enumeration the index's XOR-mask probes are checked against."""
+    """Yield every code within the given Hamming radius, nearest level first,
+    by explicit enumeration of the flipped bits."""
     if radius < 0:
         raise ValueError("radius must be >= 0")
     yield code

@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from casehash import load_checkpoint, two_class_fixture, write_sparse_text
+from casehash import HashIndex, load_checkpoint, two_class_fixture, write_sparse_text
 from casehash.cli import main
 
 from conftest import make_case
@@ -125,9 +125,8 @@ class TestStreamCommand:
             "--train-frac", "0.5", "--top-n", "3", "--no-update")
         assert code == 0
         lines = [json.loads(l) for l in stdout.strip().splitlines()]
-        got = [(l["predicted"] is None, l["radius_used"], l["n_candidates"], l["truncated"])
-               for l in lines]
-        assert got == [(False, 0, 4, False)] * 2 + [(True, 2, 0, False)] * 2
+        got = [(l["predicted"] is None, l["radius_used"], l["n_candidates"]) for l in lines]
+        assert got == [(False, 0, 4)] * 2 + [(True, 2, 0)] * 2
         summary = json.loads(stderr.strip().splitlines()[-1])
         assert summary["empty_retrievals"] == 2
 
@@ -150,7 +149,6 @@ class TestStreamCommand:
 
         # the summary's phase percentiles come from the lines' phase times
         summary = json.loads(stderr.strip().splitlines()[-1])
-        assert summary["truncated_retrievals"] == sum(l["truncated"] for l in lines)
         samples = {
             "hash_us": [l["hash_us"] for l in lines],
             "retrieve_us": [l["retrieve_us"] for l in lines],
@@ -172,10 +170,46 @@ class TestStreamCommand:
         summary = json.loads(stderr.strip().splitlines()[-1])
         assert summary["final_cases"] == 40  # nothing retained
         # no solve retained or updated, so those phases have no percentiles
-        assert summary["truncated_retrievals"] == 0
         assert summary["retain_us_p50"] is None and summary["update_us_p99"] is None
         assert summary["hash_us_p50"] is not None
         assert all(not json.loads(l)["retained"] for l in stdout.strip().splitlines())
+
+
+    def test_out_file_holds_the_lines(self, tmp_path, data_file, config_file, capsys):
+        argv = ["stream", "--data", data_file, "--config", config_file,
+                "--train-frac", "0.5", "--top-n", "3", "--seed", "2"]
+        code, stdout, stderr = run(capsys, *argv)
+        assert code == 0
+        out = tmp_path / "log.jsonl"
+        code, stdout_out, stderr_out = run(capsys, *argv, "--out", str(out))
+        assert code == 0
+        assert stdout_out == ""
+
+        def untimed(text):  # the lines without their phase times
+            return [{k: v for k, v in json.loads(l).items() if not k.endswith("_us")}
+                    for l in text.splitlines()]
+
+        assert len(out.read_text().splitlines()) == 40
+        assert untimed(out.read_text()) == untimed(stdout)
+        # the stderr summary and config echo stay on stderr
+        echo = [l for l in stderr.splitlines() if l.startswith("# ")]
+        assert echo and [l for l in stderr_out.splitlines() if l.startswith("# ")] == echo
+        assert json.loads(stderr_out.splitlines()[-1])["streamed"] == 40
+
+    def test_unwritable_out_exits_2_before_any_solve(self, tmp_path, data_file, capsys,
+                                                     monkeypatch):
+        import casehash.cli as cli
+
+        def no_work(*args, **kw):
+            raise AssertionError("work started before --out was opened")
+
+        monkeypatch.setattr(cli, "CbrEngine", no_work)
+        monkeypatch.setattr(cli.HashIndex, "build", no_work)
+        code, stdout, err = run(capsys, "stream", "--data", data_file, "--hash", "lsh",
+                                "--bits", "8", "--out", str(tmp_path))
+        assert code == 2
+        assert str(tmp_path) in err and "Traceback" not in err
+        assert stdout == ""
 
 
 class TestBenchCommand:
@@ -213,6 +247,30 @@ class TestIndexAndQuery:
         lines = [json.loads(l) for l in stdout.strip().splitlines()]
         assert len(lines) == 5
         assert all(len(l["neighbors"]) <= 4 for l in lines)
+
+    def test_query_out_file(self, tmp_path, data_file, capsys, monkeypatch):
+        idx_path = str(tmp_path / "c.idx")
+        code, _, _ = run(capsys, "index", "--data", data_file, "--hash", "lsh", "--bits", "8",
+                         "--out", idx_path)
+        assert code == 0
+        argv = ["query", "--index", idx_path, "--data", data_file, "--hash", "lsh",
+                "--bits", "8", "--top-n", "4"]
+        code, stdout, _ = run(capsys, *argv)
+        assert code == 0 and len(stdout.splitlines()) == 80
+        out = tmp_path / "q.jsonl"
+        code, stdout_out, _ = run(capsys, *argv, "--out", str(out))
+        assert code == 0
+        assert stdout_out == ""
+        assert out.read_text() == stdout
+
+        def no_query(*args, **kw):
+            raise AssertionError("a query ran before --out was opened")
+
+        monkeypatch.setattr(HashIndex, "retrieve", no_query)
+        code, stdout, err = run(capsys, *argv, "--out", str(tmp_path))
+        assert code == 2
+        assert str(tmp_path) in err and "Traceback" not in err
+        assert stdout == ""
 
     def test_truncated_index_exits_3(self, tmp_path, data_file, capsys):
         idx_path = tmp_path / "c.idx"

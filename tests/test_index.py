@@ -62,6 +62,23 @@ class TestHammingBall:
         assert list(hamming_ball(center, 0)) == [center]
 
 
+def expected_retrieval(idx, query, code, top_n, max_radius):
+    """A brute-force Hamming filter over the stored codes, then the exact top
+    ids among its candidates: (ids, candidate count, radius used)."""
+    d_h = {cid: hamming_distance(idx.code(cid), code) for cid in idx.ids()}
+    radius = next((t for t in range(max_radius + 1)
+                   if sum(d <= t for d in d_h.values()) >= top_n), max_radius)
+    ranked = idx.linear_scan(query, len(idx)).ids  # every case by (distance, id)
+    ids = [cid for cid in ranked if d_h[cid] <= radius][:top_n]
+    return ids, sum(d <= radius for d in d_h.values()), radius
+
+
+def check_retrieval(idx, query, code, top_n, max_radius):
+    res = idx.retrieve(query, code, top_n, max_radius=max_radius)
+    assert (res.ids, res.n_candidates, res.radius_used) == expected_retrieval(
+        idx, query, code, top_n, max_radius)
+
+
 def small_index(rng, n=30, r=8, dim=10):
     cases = random_cases(rng, n, dim=dim, nnz=4)
     planes = LshPlanes.sample(r, dim, seed=3)
@@ -269,17 +286,43 @@ class TestRetrieve:
         assert res.ids == []
         assert res.n_candidates == 0
 
-    def test_max_candidates_truncates_between_levels(self, rng):
-        # every case hashes identically, so level 0 already exceeds the cap
-        cases = [make_case(4, [(0, 1.0)], case_id=i) for i in range(20)]
-        planes = LshPlanes.sample(4, 4, seed=0)
-        idx = HashIndex.build(cases, planes)
-        q = make_case(4, [(0, 1.0)], case_id=99)
-        res = idx.retrieve(q, planes.code(q), top_n=50, max_radius=2,
-                           max_candidates=10)
-        assert res.truncated
-        assert res.radius_used == 0
-        assert res.n_candidates == 20  # the level itself is never cut short
+    def test_deep_radius_matches_bruteforce(self, rng):
+        # top_n at or past the case count makes the gather run out to the
+        # farthest code, or to max_radius
+        idx, cases, planes = small_index(rng, n=20, r=24)
+        for q in cases[:4]:
+            code = planes.code(q)
+            for c in (code, code.flip(*range(24)), code.flip(*range(0, 24, 2))):
+                for top_n in (1, 5, 20, 21):
+                    check_retrieval(idx, q, c, top_n, max_radius=24)
+                assert idx.candidates_within(c, 24) == set(idx.ids())
+        far = idx.retrieve(cases[0], planes.code(cases[0]), top_n=21, max_radius=100)
+        assert (far.n_candidates, far.radius_used) == (20, 100)
+
+    def test_codes_with_bit_63_set(self, rng):
+        # at r=64 every code fills its one word; half the stored codes set
+        # the top bit, which a signed comparison would order first
+        idx, cases, planes = small_index(rng, n=30, r=64)
+        extra = random_cases(rng, 30, dim=10, nnz=4, id_start=100)
+        for k, case in enumerate(extra):
+            code = idx.code(cases[k % 5].id)
+            if k % 2:
+                code = code.flip(63, k)
+            if code.bit(63) == 0:
+                code = code.flip(63)
+            idx.insert(case, code)
+        codes = [idx.code(cid) for cid in idx.ids()]
+        assert 0 < sum(code.bit(63) for code in codes) < len(codes)
+        assert idx.n_buckets == len(set(codes))
+        for q in cases[:5] + extra[:10]:
+            code = idx.code(q.id)
+            for radius in (0, 1, 2):
+                assert idx.candidates_within(code, radius) == {
+                    cid for cid, other in zip(idx.ids(), codes)
+                    if hamming_distance(code, other) <= radius}
+            for top_n in (1, 3, 8):
+                check_retrieval(idx, q, code, top_n, max_radius=2)
+                check_retrieval(idx, q, code.flip(63), top_n, max_radius=3)
 
     def test_query_dim_checked(self, rng):
         idx, _, planes = small_index(rng)

@@ -5,10 +5,13 @@ Feature values are small integers, so every squared distance is an exact
 integer in floating point and the index's distances (norms expanded as
 |x|^2 - 2<x, q> + |q|^2) must equal the oracle's direct norms bit for bit.
 Codes are drawn as a few bit flips around two fixed centres, so Hamming
-balls of radius 0-2 hold something; at r=70 the codes span two words.
+balls of radius 0-2 hold something; at r=70 the codes span two words, and
+both centres set bit 63. Query radii run up to r, so a query can reach every
+stored code.
 """
 
 import tempfile
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
@@ -71,28 +74,21 @@ def operations(r):
 
 
 def queries(r):
-    return st.lists(st.tuples(features, code_specs(r), st.integers(1, 8), st.integers(0, 2),
-                              st.none() | st.integers(1, 10)), min_size=1, max_size=5)
+    return st.lists(st.tuples(features, code_specs(r), st.integers(1, 8), st.integers(0, r)),
+                    min_size=1, max_size=5)
 
 
 def dense(case) -> np.ndarray:
     return case.features.to_dense()
 
 
-def expected_retrieval(stored, query, q_code, top_n, max_radius, max_candidates):
+def expected_retrieval(stored, query, q_code, top_n, max_radius):
     """Brute-force Hamming filter plus an exact rerank by (distance, id)."""
     d_h = {cid: hamming_distance(code, q_code) for cid, (_, code) in stored.items()}
-    radius, truncated = max_radius, False
-    for t in range(max_radius + 1):
-        n = sum(1 for d in d_h.values() if d <= t)
-        if n >= top_n:
-            radius = t
-            break
-        if max_candidates is not None and n >= max_candidates:
-            radius, truncated = t, True
-            break
+    radius = next((t for t in range(max_radius + 1)
+                   if sum(1 for d in d_h.values() if d <= t) >= top_n), max_radius)
     cands = [cid for cid, d in d_h.items() if d <= radius]
-    return (*exact_top(stored, query, cands, top_n), len(cands), radius, truncated)
+    return (*exact_top(stored, query, cands, top_n), len(cands), radius)
 
 
 def exact_top(stored, query, cands, top_n):
@@ -152,12 +148,18 @@ def apply_operations(r, idx, stored, ops):
     return stored
 
 
-def check_bit_balance(idx):
-    """stats()' per-bit balance against a brute-force mean over the signs of
-    every stored code."""
-    signs = np.array([idx.code(cid).to_signs() for cid in idx.ids()]).reshape(-1, idx.r)
+def check_stats(idx):
+    """stats() against a brute-force count of the stored codes: a bucket per
+    distinct code, the largest code count, and per bit the mean over the
+    signs of every stored code."""
+    codes = [idx.code(cid) for cid in idx.ids()]
+    counts = Counter(code.words for code in codes)
+    signs = np.array([code.to_signs() for code in codes]).reshape(-1, idx.r)
     want = (signs > 0).sum(axis=0) / max(len(signs), 1)
-    assert idx.stats()["bit_balance"] == want.tolist()
+    assert idx.stats() == {"n_buckets": len(counts),
+                           "largest_bucket": max(counts.values(), default=0),
+                           "bit_balance": want.tolist()}
+    assert idx.n_buckets == len(counts)
 
 
 def check_against_oracle(r, idx, stored, qs):
@@ -166,19 +168,18 @@ def check_against_oracle(r, idx, stored, qs):
         assert idx.case(cid) == case
         assert idx.label(cid) == case.label
         assert idx.code(cid) == code
-    for k, (feats, spec, top_n, max_radius, max_candidates) in enumerate(qs):
+    for k, (feats, spec, top_n, max_radius) in enumerate(qs):
         query, q_code = make_case(1000 + k, feats), make_code(r, spec)
-        for radius in range(3):
+        for radius in {0, 1, 2, max_radius}:
             assert idx.candidates_within(q_code, radius) == {
                 cid for cid, (_, code) in stored.items()
                 if hamming_distance(code, q_code) <= radius}
-        res = idx.retrieve(query, q_code, top_n, max_radius=max_radius,
-                           max_candidates=max_candidates)
-        ids, dists, n_cands, radius, truncated = expected_retrieval(
-            stored, query, q_code, top_n, max_radius, max_candidates)
+        res = idx.retrieve(query, q_code, top_n, max_radius=max_radius)
+        ids, dists, n_cands, radius = expected_retrieval(stored, query, q_code, top_n,
+                                                         max_radius)
         assert res.ids == ids
         assert res.distances.tolist() == dists
-        assert (res.n_candidates, res.radius_used, res.truncated) == (n_cands, radius, truncated)
+        assert (res.n_candidates, res.radius_used) == (n_cands, radius)
         lin = idx.linear_scan(query, top_n)
         assert (lin.ids, lin.distances.tolist()) == exact_top(stored, query, stored, top_n)
 
@@ -191,7 +192,7 @@ def test_retrieve_matches_bruteforce_after_mutations(r):
            ops=operations(r), qs=queries(r))
     def check(initial, ops, qs):
         idx, stored = run_operations(r, initial, ops)
-        check_bit_balance(idx)
+        check_stats(idx)
         check_against_oracle(r, idx, stored, qs)
 
     check()
@@ -216,12 +217,12 @@ def test_save_load_save_is_byte_identical(r):
             back.save(loaded)
             assert saved.read_bytes() == loaded.read_bytes()
             assert back.n_buckets == idx.n_buckets
-            check_bit_balance(back)
+            check_stats(back)
             check_against_oracle(r, back, stored, qs)
 
             # a loaded index holds its rows in ascending id order
             stored = apply_operations(r, back, dict(sorted(stored.items())), more)
-            check_bit_balance(back)
+            check_stats(back)
             check_against_oracle(r, back, stored, qs)
             back.save(written)
             fresh_index(r, stored).save(built)
