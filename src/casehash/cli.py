@@ -15,6 +15,7 @@ import contextlib
 import json
 import sys
 from dataclasses import dataclass, field, fields
+from typing import get_type_hints
 
 import numpy as np
 
@@ -31,10 +32,12 @@ from .network import (
 from .sparse import (
     DataFormatError,
     fit_ranges,
+    kfold,
     load_csv,
     load_sparse_text,
     normalize,
     parse_schema_spec,
+    split,
 )
 from .training import train, write_train_log
 
@@ -79,16 +82,11 @@ def _parse_bool(raw: str) -> bool:
     raise ValueError(f"not a boolean: {raw!r}")
 
 
-_HYPER_KEYS = {
-    "k_w": int, "k_v": int, "r": int, "l": int, "hidden": int,
-    "alpha": float, "lambda": float, "lambda_": float, "beta": float,
-    "n_u": int, "top_n": int, "first_order": _parse_bool,
-}
-_RUN_KEYS = {
-    "epochs": int, "batch_size": int, "lr": float, "optimizer": str,
-    "patience": int, "min_delta": float, "neg_ratio": float,
-    "max_radius": int, "update_epochs": int, "update_lr": float,
-}
+def _parsers(cls) -> dict:
+    """Field name -> the parser of its config-file text, from the field's type."""
+    types = get_type_hints(cls)
+    return {f.name: _parse_bool if types[f.name] is bool else types[f.name]
+            for f in fields(cls) if f.name != "hyper"}
 
 
 def read_config_file(path) -> dict[str, str]:
@@ -115,17 +113,17 @@ def build_config(args) -> RunConfig:
     hyper_kwargs: dict = {}
     run_kwargs: dict = {}
     if getattr(args, "config", None):
+        hyper_parsers, run_parsers = _parsers(Hyperparams), _parsers(RunConfig)
         for key, raw in read_config_file(args.config).items():
-            if key in _HYPER_KEYS:
-                target, caster = hyper_kwargs, _HYPER_KEYS[key]
-                name = "lambda_" if key == "lambda" else key
-            elif key in _RUN_KEYS:
-                target, caster = run_kwargs, _RUN_KEYS[key]
-                name = key
+            name = "lambda_" if key == "lambda" else key
+            if name in hyper_parsers:
+                target, parse = hyper_kwargs, hyper_parsers[name]
+            elif name in run_parsers:
+                target, parse = run_kwargs, run_parsers[name]
             else:
                 raise ConfigError(f"unknown config key {key!r}")
             try:
-                target[name] = caster(raw)
+                target[name] = parse(raw)
             except ValueError as exc:
                 raise ConfigError(f"config key {key!r}: {exc}") from None
 
@@ -151,10 +149,11 @@ def echo_config(cfg: RunConfig, args) -> None:
         print(f"# {key}={value}", file=sys.stderr)
 
 
-def load_dataset(args):
+def load_dataset(args, dim=None):
     """Cases plus (for CSV input) the fitted-vocabulary schema; a data file
     that cannot be read as UTF-8 text or holds no case raises
-    DataFormatError."""
+    DataFormatError. Sparse text is read at width dim when one is given;
+    CSV keeps its schema's width."""
     if not getattr(args, "data", None):
         raise ConfigError("--data is required")
     spec = None
@@ -166,7 +165,7 @@ def load_dataset(args):
             raise ConfigError(f"cannot read schema file: {exc}") from None
     try:
         if spec is None:
-            cases, schema = load_sparse_text(args.data), None
+            cases, schema = load_sparse_text(args.data, dim), None
         else:
             cases, schema = load_csv(args.data, spec)
     except (OSError, UnicodeDecodeError) as exc:
@@ -185,12 +184,20 @@ def _normalized(schema, fit_on, *case_lists):
     return out if len(out) > 1 else out[0]
 
 
-def _make_coder(args, cfg: RunConfig, cases):
-    """A code provider: sampled LSH planes, a loaded checkpoint, or None."""
+def _train(cases, cfg: RunConfig, seed: int):
+    return train(cases, cfg.hyper, epochs=cfg.epochs, seed=seed,
+                 batch_size=cfg.batch_size, optimizer=cfg.optimizer,
+                 lr=cfg.lr, neg_ratio=cfg.neg_ratio, patience=cfg.patience,
+                 min_delta=cfg.min_delta)
+
+
+def _coder(args, cfg: RunConfig, cases, seed=None):
+    """The code provider: LSH planes sampled at the cases' width, the --model
+    checkpoint, or, given a seed, a network trained on cases, whose
+    divergence raises DivergenceError."""
     if args.hash == "lsh":
-        dim = cases[0].features.dim
-        return LshPlanes.sample(cfg.hyper.r, dim, args.seed)
-    if getattr(args, "model", None):
+        return LshPlanes.sample(cfg.hyper.r, cases[0].features.dim, args.seed)
+    if args.model:
         try:
             return load_checkpoint(args.model, cfg.hyper)
         except OSError as exc:
@@ -199,19 +206,9 @@ def _make_coder(args, cfg: RunConfig, cases):
             raise
         except ValueError as exc:  # the file's structure disagrees with cfg
             raise ConfigError(str(exc)) from None
-    return None
-
-
-def _train(cases, cfg: RunConfig, seed: int):
-    return train(cases, cfg.hyper, epochs=cfg.epochs, seed=seed,
-                 batch_size=cfg.batch_size, optimizer=cfg.optimizer,
-                 lr=cfg.lr, neg_ratio=cfg.neg_ratio, patience=cfg.patience,
-                 min_delta=cfg.min_delta)
-
-
-def _train_coder(train_cases, cfg: RunConfig, seed: int):
-    """Trained parameters; divergence raises DivergenceError."""
-    result = _train(train_cases, cfg, seed)
+    if seed is None:
+        raise ConfigError(f"{args.command} requires --model or --hash lsh")
+    result = _train(cases, cfg, seed)
     if result.diverged:
         raise DivergenceError("training diverged")
     return result.params
@@ -223,8 +220,7 @@ def cmd_train(args, cfg: RunConfig) -> int:
     result = _train(cases, cfg, args.seed)  # saved and reported even if diverged
     out = args.out or "model.chn"
     save_checkpoint(result.params, out)
-    write_train_log(result.history, csv_path=out + ".log.csv",
-                    jsonl_path=out + ".log.jsonl")
+    write_train_log(result.history, out + ".log.jsonl")
     last = result.history[-1] if result.history else None
     print(json.dumps({
         "checkpoint": out,
@@ -239,26 +235,26 @@ def cmd_train(args, cfg: RunConfig) -> int:
 
 
 def cmd_eval(args, cfg: RunConfig) -> int:
-    from .sparse import kfold, split
-
     cases, schema = load_dataset(args)
-    coder = _make_coder(args, cfg, cases)
-    folds = []
-    if coder is not None:
-        train_cases, test_cases = split(cases, args.train_frac, args.seed)
-        folds.append((train_cases, test_cases, coder))
+    if args.hash == "lsh" or args.model:
+        splits = [split(cases, args.train_frac, args.seed)]
+        stored, held_out = splits[0]
+        if not (stored and held_out):
+            side = "held-out" if stored else "stored"
+            raise ConfigError(f"--train-frac {args.train_frac} leaves no {side} case "
+                              f"of the {len(cases)} cases")
     else:
-        for train_cases, test_cases in kfold(cases, args.folds, args.seed):
-            folds.append((train_cases, test_cases, None))
+        if args.folds > len(cases):
+            raise ConfigError(f"--folds {args.folds} exceeds the {len(cases)} cases")
+        splits = kfold(cases, args.folds, args.seed)
 
     reports = []
-    for k, (train_cases, test_cases, fold_coder) in enumerate(folds):
+    for k, (train_cases, test_cases) in enumerate(splits):
         train_cases, test_cases = _normalized(schema, train_cases,
                                               train_cases, test_cases)
-        if fold_coder is None:
-            fold_coder = _train_coder(train_cases, cfg, args.seed + k)
-        idx = HashIndex.build(train_cases, fold_coder)
-        reports.append(evaluate(idx, fold_coder, test_cases,
+        coder = _coder(args, cfg, train_cases, seed=args.seed + k)
+        idx = HashIndex.build(train_cases, coder)
+        reports.append(evaluate(idx, coder, test_cases,
                                 top_n=cfg.hyper.top_n, max_radius=cfg.max_radius))
 
     aucs = [r.auc for r in reports if r.auc is not None]
@@ -268,21 +264,17 @@ def cmd_eval(args, cfg: RunConfig) -> int:
         "map_at_n": float(np.mean([r.map_at_n for r in reports])),
         "prec_at_n": float(np.mean([r.prec_at_n for r in reports])),
     }
-    print(json.dumps({"folds": [r.as_dict() for r in reports], "mean": mean},
-                     indent=2, sort_keys=True))
-    if args.out:
-        if len(reports) == 1:
-            reports[0].write_csv(args.out)
-        else:
-            _write_mean_csv(args.out, mean)
+    _report(args, json.dumps({"folds": [r.as_dict() for r in reports], "mean": mean},
+                             indent=2, sort_keys=True))
     return 0
 
 
-def _write_mean_csv(path, mean: dict) -> None:
-    keys = list(mean)
-    with open(str(path), "w", encoding="utf-8") as fh:
-        fh.write(",".join(keys) + "\n")
-        fh.write(",".join("" if mean[k] is None else str(mean[k]) for k in keys) + "\n")
+def _report(args, text: str) -> None:
+    """Print a command's JSON report, and write the same text to --out when given."""
+    print(text)
+    if args.out:
+        with open(args.out, "w", encoding="utf-8") as fh:
+            fh.write(text + "\n")
 
 
 def _lines_out(args):
@@ -305,9 +297,7 @@ def cmd_stream(args, cfg: RunConfig) -> int:
 def _stream(args, cfg: RunConfig, init, rest, out) -> int:
     """Seed the index from init, solve rest in order, one JSONL line per
     solve to out, and give the summary on stderr."""
-    coder = _make_coder(args, cfg, init)
-    if coder is None:
-        coder = _train_coder(init, cfg, args.seed)
+    coder = _coder(args, cfg, init, seed=args.seed)
     idx = HashIndex.build(init, coder)
     engine = CbrEngine(idx, coder, top_n=cfg.hyper.top_n,
                        max_radius=cfg.max_radius,
@@ -374,25 +364,17 @@ def cmd_bench(args, cfg: RunConfig) -> int:
     base, queries = cases[:-args.queries], cases[-args.queries:]
     base, queries = _normalized(schema, base, base, queries)
 
-    coder = _make_coder(args, cfg, base)
-    if coder is None:
-        coder = _train_coder(base, cfg, args.seed)
+    coder = _coder(args, cfg, base, seed=args.seed)
     idx = HashIndex.build(base, coder)
-    result = bench(idx, coder, queries, top_n=cfg.hyper.top_n,
-                   max_radius=cfg.max_radius)
-    print(result.to_json())
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(result.to_json() + "\n")
+    _report(args, bench(idx, coder, queries, top_n=cfg.hyper.top_n,
+                        max_radius=cfg.max_radius).to_json())
     return 0
 
 
 def cmd_index(args, cfg: RunConfig) -> int:
     cases, schema = load_dataset(args)
     cases = _normalized(schema, cases, cases)
-    coder = _make_coder(args, cfg, cases)
-    if coder is None:
-        raise ConfigError("index requires --model or --hash lsh")
+    coder = _coder(args, cfg, cases)
     idx = HashIndex.build(cases, coder)
     out = args.out or "cases.idx"
     idx.save(out)
@@ -408,12 +390,10 @@ def cmd_query(args, cfg: RunConfig) -> int:
         idx = HashIndex.load(args.index)
     except OSError as exc:
         raise ConfigError(f"cannot read index file: {exc}") from None
-    queries, schema = load_dataset(args)
+    queries, schema = load_dataset(args, dim=idx.dim)
     if schema is not None:
         queries = _normalized(schema, queries, queries)
-    coder = _make_coder(args, cfg, queries)
-    if coder is None:
-        raise ConfigError("query requires --model or --hash lsh")
+    coder = _coder(args, cfg, queries)
     if coder.r != idx.r:
         raise ConfigError(f"coder width {coder.r} does not match index width {idx.r}")
     with _lines_out(args) as out:

@@ -121,7 +121,7 @@ def map_at_n(relevants, retrieveds, n: int) -> float:
 
 @dataclass
 class MetricReport:
-    """One evaluation run; serializable as a JSON object or a one-row CSV."""
+    """One evaluation run; serializable as a JSON object."""
 
     n_queries: int
     top_n: int
@@ -138,13 +138,6 @@ class MetricReport:
 
     def to_json(self) -> str:
         return json.dumps(self.as_dict(), indent=2, sort_keys=True)
-
-    def write_csv(self, path) -> None:
-        d = self.as_dict()
-        keys = list(d)
-        with open(str(path), "w", encoding="utf-8") as fh:
-            fh.write(",".join(keys) + "\n")
-            fh.write(",".join("" if d[k] is None else str(d[k]) for k in keys) + "\n")
 
 
 def evaluate(index: HashIndex, coder, queries, top_n: int = 10,

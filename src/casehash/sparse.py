@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import csv
 import json
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, replace
 from itertools import chain
 
 import numpy as np
@@ -120,45 +120,15 @@ class DatasetSchema:
         return {c.offset: c for c in self.columns if c.kind == "numeric"}
 
     def to_json(self) -> str:
-        cols = [
-            {
-                "name": c.name,
-                "kind": c.kind,
-                "categories": list(c.categories),
-                "offset": c.offset,
-                "vmin": c.vmin,
-                "vmax": c.vmax,
-            }
-            for c in self.columns
-        ]
-        return json.dumps(
-            {
-                "columns": cols,
-                "label_column": self.label_column,
-                "label_values": list(self.label_values),
-            },
-            indent=2,
-        )
+        return json.dumps(asdict(self), indent=2)
 
     @staticmethod
     def from_json(text: str) -> "DatasetSchema":
         raw = json.loads(text)
-        cols = [
-            ColumnSpec(
-                name=c["name"],
-                kind=c["kind"],
-                categories=tuple(c["categories"]),
-                offset=c["offset"],
-                vmin=c["vmin"],
-                vmax=c["vmax"],
-            )
-            for c in raw["columns"]
-        ]
-        return DatasetSchema(
-            columns=cols,
-            label_column=raw["label_column"],
-            label_values=tuple(raw["label_values"]),
-        )
+        columns = [ColumnSpec(**{**c, "categories": tuple(c["categories"])})
+                   for c in raw["columns"]]
+        return DatasetSchema(columns=columns, label_column=raw["label_column"],
+                             label_values=tuple(raw["label_values"]))
 
 
 def _parse_label(token: str, path: str, lineno: int) -> int:
@@ -301,23 +271,6 @@ def _encode_row(schema: DatasetSchema, row: dict[str, str], where: str):
                 continue
             pairs.append((col.offset + pos, 1.0))
     return pairs
-
-
-def encode_row(schema: DatasetSchema, row: dict[str, str], case_id: int, label: int | None = None) -> SparseCase:
-    """Encode one raw CSV row against a fitted schema.
-
-    Used at query time: unseen categories map to an all-zero one-hot group,
-    numeric values come through raw (normalize separately). label, when given,
-    is already dense; otherwise it is read from the row's label column.
-    """
-    pairs = _encode_row(schema, row, where=f"row {case_id}")
-    if label is None:
-        raw = _row_label(row[schema.label_column], schema.label_values)
-        try:
-            label = schema.label_values.index(raw)
-        except ValueError:
-            raise DataFormatError(f"row {case_id}: unknown label {raw!r}") from None
-    return SparseCase(id=case_id, features=SparseVector.from_pairs(schema.dim, pairs), label=label)
 
 
 def load_csv(path, schema_spec: dict[str, str], schema: DatasetSchema | None = None):

@@ -83,12 +83,8 @@ def clustered_fixture(n: int = 100_000, n_groups: int = 20, n_categories: int = 
 
     ones = (1.0,) * n_groups
     return [
-        SparseCase(
-            id=id_start + row,
-            features=SparseVector(dim=dim,
-                                  indices=tuple(int(i) for i in indices[row]),
-                                  values=ones),
-            label=int(labels[row]),
-        )
-        for row in range(n)
+        SparseCase(id=id_start + row,
+                   features=SparseVector(dim=dim, indices=tuple(ind), values=ones),
+                   label=label)
+        for row, (ind, label) in enumerate(zip(indices.tolist(), labels.tolist()))
     ]

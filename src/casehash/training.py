@@ -19,7 +19,7 @@ from __future__ import annotations
 import json
 import time
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 from scipy.special import expit
@@ -315,16 +315,6 @@ class EpochRecord:
     n_negative: int
     wall_time_s: float
 
-    def as_dict(self) -> dict:
-        return {
-            "epoch": self.epoch,
-            "objective": self.objective,
-            "val_objective": self.val_objective,
-            "n_positive": self.n_positive,
-            "n_negative": self.n_negative,
-            "wall_time_s": self.wall_time_s,
-        }
-
 
 @dataclass
 class TrainResult:
@@ -334,20 +324,11 @@ class TrainResult:
     diverged: bool = False
 
 
-def write_train_log(history, csv_path=None, jsonl_path=None) -> None:
-    """Write the per-epoch records as CSV and/or JSON lines."""
-    fields = ["epoch", "objective", "val_objective",
-              "n_positive", "n_negative", "wall_time_s"]
-    if csv_path is not None:
-        with open(str(csv_path), "w", encoding="utf-8") as fh:
-            fh.write(",".join(fields) + "\n")
-            for rec in history:
-                row = rec.as_dict()
-                fh.write(",".join(str(row[f]) for f in fields) + "\n")
-    if jsonl_path is not None:
-        with open(str(jsonl_path), "w", encoding="utf-8") as fh:
-            for rec in history:
-                fh.write(json.dumps(rec.as_dict()) + "\n")
+def write_train_log(history, path) -> None:
+    """Write the per-epoch records as JSON lines."""
+    with open(str(path), "w", encoding="utf-8") as fh:
+        for rec in history:
+            fh.write(json.dumps(asdict(rec)) + "\n")
 
 
 def train(

@@ -1,10 +1,12 @@
 import json
+from dataclasses import fields
 
 import numpy as np
 import pytest
 
-from casehash import HashIndex, load_checkpoint, two_class_fixture, write_sparse_text
-from casehash.cli import main
+from casehash import (HashIndex, Hyperparams, load_checkpoint, two_class_fixture,
+                      write_sparse_text)
+from casehash.cli import RunConfig, main
 
 from conftest import make_case
 
@@ -52,8 +54,11 @@ class TestTrainCommand:
         assert summary["checkpoint"] == out
         assert summary["epochs_run"] == 2
         assert (tmp_path / "m.chn").exists()
-        assert (tmp_path / "m.chn.log.csv").read_text().startswith("epoch,")
-        assert len((tmp_path / "m.chn.log.jsonl").read_text().splitlines()) == 2
+        assert not (tmp_path / "m.chn.log.csv").exists()
+        records = [json.loads(l) for l in (tmp_path / "m.chn.log.jsonl").read_text().splitlines()]
+        assert [r["epoch"] for r in records] == [1, 2]
+        assert list(records[0]) == ["epoch", "objective", "val_objective",
+                                    "n_positive", "n_negative", "wall_time_s"]
 
     def test_config_echoed_to_stderr(self, tmp_path, data_file, config_file, capsys):
         code, _, stderr = run(
@@ -69,6 +74,55 @@ class TestTrainCommand:
             "--bits", "12", "--out", str(tmp_path / "m.chn"))
         assert code == 0
         assert "# r=12" in stderr
+
+
+def _other_value(value):
+    """A valid setting of a config field other than its default."""
+    if isinstance(value, bool):
+        return not value
+    if isinstance(value, int):
+        return value + 1
+    if isinstance(value, float):
+        return value / 2
+    return {"adam": "sgd"}[value]
+
+
+class TestConfigFile:
+    @pytest.mark.parametrize("name", [f.name for f in fields(Hyperparams)]
+                             + [f.name for f in fields(RunConfig) if f.name != "hyper"])
+    def test_every_field_reaches_the_echo(self, tmp_path, data_file, capsys, name):
+        defaults = RunConfig()
+        value = _other_value(getattr(defaults.hyper if hasattr(defaults.hyper, name)
+                                     else defaults, name))
+        cfg = tmp_path / "one.cfg"
+        cfg.write_text(f"{name} = {value}\n")
+        code, _, err = run(capsys, "index", "--data", data_file, "--config", str(cfg),
+                           "--hash", "lsh", "--out", str(tmp_path / "c.idx"))
+        assert code == 0
+        assert f"# {name}={value}" in err.splitlines()
+
+    def test_aliases_and_booleans(self, tmp_path, data_file, capsys):
+        cfg = tmp_path / "alias.cfg"
+        cfg.write_text("lambda = 0.3\nfirst_order = yes\n")
+        code, _, err = run(capsys, "index", "--data", data_file, "--config", str(cfg),
+                           "--hash", "lsh", "--out", str(tmp_path / "c.idx"))
+        assert code == 0
+        assert {"# lambda_=0.3", "# first_order=True"} <= set(err.splitlines())
+
+    @pytest.mark.parametrize("line, message", [
+        ("first_order = maybe", "config key 'first_order': not a boolean: 'maybe'"),
+        ("epochs = 2.5", "config key 'epochs': invalid literal for int() with base 10: '2.5'"),
+        ("lambda = x", "config key 'lambda': could not convert string to float: 'x'"),
+        ("hyper = 1", "unknown config key 'hyper'"),
+    ], ids=["bool", "int", "alias", "hyper"])
+    def test_bad_value_messages(self, tmp_path, data_file, capsys, line, message):
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text(line + "\n")
+        code, stdout, err = run(capsys, "index", "--data", data_file, "--config", str(cfg),
+                                "--hash", "lsh")
+        assert code == 2
+        assert err == f"error: {message}\n"
+        assert stdout == ""
 
 
 class TestEvalCommand:
@@ -97,6 +151,16 @@ class TestEvalCommand:
             capsys, "eval", "--data", data_file, "--hash", "lsh", "--bits", "8")
         assert code == 0
         assert json.loads(stdout)["mean"]["accuracy"] >= 0.0
+
+    @pytest.mark.parametrize("extra", [["--folds", "2"], ["--hash", "lsh", "--bits", "8"]],
+                             ids=["k-folds", "one-split"])
+    def test_out_file_holds_stdout(self, tmp_path, data_file, config_file, capsys, extra):
+        out = tmp_path / "eval.json"
+        code, stdout, _ = run(capsys, "eval", "--data", data_file, "--config", config_file,
+                              *extra, "--out", str(out))
+        assert code == 0
+        assert out.read_text() == stdout
+        assert len(json.loads(stdout)["folds"]) == (2 if "--folds" in extra else 1)
 
 
 class TestStreamCommand:
@@ -247,6 +311,24 @@ class TestIndexAndQuery:
         lines = [json.loads(l) for l in stdout.strip().splitlines()]
         assert len(lines) == 5
         assert all(len(l["neighbors"]) <= 4 for l in lines)
+
+    def test_query_reads_at_the_index_width(self, tmp_path, capsys):
+        # only the first two cases use the last feature, 9; the query file
+        # holds the other six, whose largest feature index is 8
+        cases = [make_case(10, [(k, 1.0), (9, 1.0)] if k < 2 else [(k, 1.0), (k + 1, 0.5)],
+                           label=k % 2, case_id=k) for k in range(8)]
+        data, qp, idx_path = tmp_path / "cases.txt", tmp_path / "q.txt", tmp_path / "c.idx"
+        write_sparse_text(cases, data)
+        write_sparse_text(cases[2:], qp)
+        code, _, _ = run(capsys, "index", "--data", str(data), "--hash", "lsh", "--bits", "8",
+                         "--out", str(idx_path))
+        assert code == 0
+        code, stdout, err = run(capsys, "query", "--index", str(idx_path), "--data", str(qp),
+                                "--hash", "lsh", "--bits", "8", "--top-n", "1")
+        assert code == 0, err
+        lines = [json.loads(l) for l in stdout.splitlines()]
+        assert [(l["neighbors"], l["distances"]) for l in lines] == \
+            [([k], [0.0]) for k in range(2, 8)]
 
     def test_query_out_file(self, tmp_path, data_file, capsys, monkeypatch):
         idx_path = str(tmp_path / "c.idx")
@@ -439,6 +521,27 @@ class TestExitCodes:
         assert str(tmp_path / out) in err and "Traceback" not in err
         assert stdout == ""
 
+    @pytest.mark.parametrize("argv, message", [
+        (["--folds", "10"], "--folds 10 exceeds the 5 cases"),
+        (["--hash", "lsh", "--train-frac", "0.95"], "leaves no held-out case"),
+        (["--hash", "lsh", "--train-frac", "0.05"], "leaves no stored case"),
+    ], ids=["folds-past-cases", "no-held-out-case", "no-stored-case"])
+    def test_eval_split_with_an_empty_side(self, tmp_path, capsys, monkeypatch, argv,
+                                           message):
+        import casehash.cli as cli
+
+        def no_work(*args, **kw):
+            raise AssertionError("work started before the split was checked")
+
+        monkeypatch.setattr(cli, "train", no_work)
+        monkeypatch.setattr(cli.HashIndex, "build", no_work)
+        p = tmp_path / "five.txt"
+        write_sparse_text(two_class_fixture(n=5, seed=1), p)
+        code, stdout, err = run(capsys, "eval", "--data", str(p), *argv)
+        assert code == 2
+        assert message in err and "Traceback" not in err
+        assert stdout == ""
+
     def test_missing_data_flag(self, capsys):
         code, _, err = run(capsys, "train")
         assert code == 2
@@ -512,12 +615,13 @@ class TestModelErrors:
 
     def test_query_width_mismatch_exits_3(self, tmp_path, index_file, config_file,
                                           model, capsys):
-        queries = two_class_fixture(n=5, n_noise=5, seed=7, id_start=500)
+        # the noise features run to index 49, past the index's width of 40
+        queries = two_class_fixture(n=5, n_noise=30, seed=7, id_start=500)
         qp = tmp_path / "q.txt"
         write_sparse_text(queries, qp)
         code, stdout, err = self.query(capsys, index_file, qp, config_file, model)
         assert code == 3
-        assert "case dim 25 != network dim 40" in err
+        assert "explicit dim 40 < required 50" in err
         assert stdout == ""
 
     def test_structure_disagrees_with_bits_exits_2(self, index_file, data_file,

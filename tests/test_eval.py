@@ -142,13 +142,6 @@ class TestMetricReport:
         assert data["accuracy"] == 0.9
         assert data["n_queries"] == 10
 
-    def test_csv(self, tmp_path):
-        p = tmp_path / "r.csv"
-        self._report().write_csv(p)
-        header, row = p.read_text().strip().split("\n")
-        assert "accuracy" in header.split(",")
-        assert "0.9" in row.split(",")
-
 
 class TestEvaluate:
     def test_stacked_deck(self, rng):
