@@ -248,39 +248,40 @@ def cmd_eval(args, cfg: RunConfig) -> int:
             raise ConfigError(f"--folds {args.folds} exceeds the {len(cases)} cases")
         splits = kfold(cases, args.folds, args.seed)
 
-    reports = []
-    for k, (train_cases, test_cases) in enumerate(splits):
-        train_cases, test_cases = _normalized(schema, train_cases,
-                                              train_cases, test_cases)
-        coder = _coder(args, cfg, train_cases, seed=args.seed + k)
-        idx = HashIndex.build(train_cases, coder)
-        reports.append(evaluate(idx, coder, test_cases,
-                                top_n=cfg.hyper.top_n, max_radius=cfg.max_radius))
+    with _open_out(args) as out:
+        reports = []
+        for k, (train_cases, test_cases) in enumerate(splits):
+            train_cases, test_cases = _normalized(schema, train_cases,
+                                                  train_cases, test_cases)
+            coder = _coder(args, cfg, train_cases, seed=args.seed + k)
+            idx = HashIndex.build(train_cases, coder)
+            reports.append(evaluate(idx, coder, test_cases,
+                                    top_n=cfg.hyper.top_n, max_radius=cfg.max_radius))
 
-    aucs = [r.auc for r in reports if r.auc is not None]
-    mean = {
-        "accuracy": float(np.mean([r.accuracy for r in reports])),
-        "auc": float(np.mean(aucs)) if aucs else None,
-        "map_at_n": float(np.mean([r.map_at_n for r in reports])),
-        "prec_at_n": float(np.mean([r.prec_at_n for r in reports])),
-    }
-    _report(args, json.dumps({"folds": [r.as_dict() for r in reports], "mean": mean},
-                             indent=2, sort_keys=True))
+        aucs = [r.auc for r in reports if r.auc is not None]
+        mean = {
+            "accuracy": float(np.mean([r.accuracy for r in reports])),
+            "auc": float(np.mean(aucs)) if aucs else None,
+            "map_at_n": float(np.mean([r.map_at_n for r in reports])),
+            "prec_at_n": float(np.mean([r.prec_at_n for r in reports])),
+        }
+        _report(out, json.dumps({"folds": [r.as_dict() for r in reports], "mean": mean},
+                                indent=2, sort_keys=True))
     return 0
 
 
-def _report(args, text: str) -> None:
-    """Print a command's JSON report, and write the same text to --out when given."""
+def _open_out(args, default=None):
+    """The --out file, opened now so that one that cannot be written fails
+    before any work, else default."""
+    return open(args.out, "w", encoding="utf-8") if args.out else contextlib.nullcontext(default)
+
+
+def _report(out, text: str) -> None:
+    """Print a command's JSON report, and write the same text to out, the
+    --out file from _open_out, when there is one."""
     print(text)
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text + "\n")
-
-
-def _lines_out(args):
-    """Where the JSONL lines go: the --out file, opened now so that one that
-    cannot be written fails before any work, else stdout."""
-    return open(args.out, "w", encoding="utf-8") if args.out else contextlib.nullcontext(sys.stdout)
+    if out is not None:
+        out.write(text + "\n")
 
 
 def cmd_stream(args, cfg: RunConfig) -> int:
@@ -290,7 +291,7 @@ def cmd_stream(args, cfg: RunConfig) -> int:
         raise ConfigError("train fraction leaves no cases to stream")
     init, rest = cases[:n_init], cases[n_init:]
     init, rest = _normalized(schema, init, init, rest)
-    with _lines_out(args) as out:
+    with _open_out(args, sys.stdout) as out:
         return _stream(args, cfg, init, rest, out)
 
 
@@ -364,10 +365,11 @@ def cmd_bench(args, cfg: RunConfig) -> int:
     base, queries = cases[:-args.queries], cases[-args.queries:]
     base, queries = _normalized(schema, base, base, queries)
 
-    coder = _coder(args, cfg, base, seed=args.seed)
-    idx = HashIndex.build(base, coder)
-    _report(args, bench(idx, coder, queries, top_n=cfg.hyper.top_n,
-                        max_radius=cfg.max_radius).to_json())
+    with _open_out(args) as out:
+        coder = _coder(args, cfg, base, seed=args.seed)
+        idx = HashIndex.build(base, coder)
+        _report(out, bench(idx, coder, queries, top_n=cfg.hyper.top_n,
+                           max_radius=cfg.max_radius).to_json())
     return 0
 
 
@@ -396,7 +398,7 @@ def cmd_query(args, cfg: RunConfig) -> int:
     coder = _coder(args, cfg, queries)
     if coder.r != idx.r:
         raise ConfigError(f"coder width {coder.r} does not match index width {idx.r}")
-    with _lines_out(args) as out:
+    with _open_out(args, sys.stdout) as out:
         for query in queries:
             res = idx.retrieve(query, coder.code(query), cfg.hyper.top_n,
                                max_radius=cfg.max_radius)

@@ -29,7 +29,6 @@ with the same distance kernel and serves as the retrieval oracle.
 
 from __future__ import annotations
 
-import os
 import time
 from dataclasses import dataclass
 
@@ -39,7 +38,7 @@ from scipy import sparse as sp
 # the compiled kernels behind scipy's own x[rows] @ q
 from scipy.sparse._sparsetools import csr_matvec, csr_row_index
 
-from .network import HashCode, unpack_words
+from .network import HashCode, read_block, unpack_words
 from .sparse import DataFormatError, SparseCase, SparseVector, cases_to_csr
 
 INDEX_MAGIC = b"CHIX"
@@ -360,25 +359,25 @@ class HashIndex:
         with open(str(path), "rb") as fh:
             if fh.read(4) != INDEX_MAGIC:
                 raise DataFormatError("not an index file")
-            version, r, dim, n = (int(x) for x in _read(fh, "<i8", 4))
+            version, r, dim, n = (int(x) for x in read_block(fh, "<i8", 4, _truncated))
             if version != INDEX_VERSION:  # version 1 interleaved each case's features
                 raise DataFormatError(f"index file version {version} is not {INDEX_VERSION}; "
                                       "rebuild it with `casehash index`")
             if r < 1 or dim < 1 or n < 0:
                 raise DataFormatError(f"corrupt index header: r={r} dim={dim} n={n}")
             n_words = (r + 63) // 64
-            ids = _read(fh, "<i8", n).astype(np.int64)
-            words = _read(fh, "<u8", n * n_words).reshape(n, n_words)
+            ids = read_block(fh, "<i8", n, _truncated).astype(np.int64)
+            words = read_block(fh, "<u8", n * n_words, _truncated).reshape(n, n_words)
             spare = n_words * 64 - r
             if spare and (words[:, -1] >> np.uint64(64 - spare)).any():
                 raise DataFormatError("corrupt index file: unused high bits must be zero")
-            labels = _read(fh, "<i8", n).astype(np.int64)
-            nnz = _read(fh, "<i8", n).astype(np.int64)
+            labels = read_block(fh, "<i8", n, _truncated).astype(np.int64)
+            nnz = read_block(fh, "<i8", n, _truncated).astype(np.int64)
             if (nnz < 0).any():
                 raise DataFormatError(f"corrupt index file: negative count {nnz.min()}")
             total = sum(nnz.tolist())
-            indices = _read(fh, "<i8", total).astype(np.int64, copy=False)
-            values = _read(fh, "<f8", total).astype(np.float64, copy=False)
+            indices = read_block(fh, "<i8", total, _truncated).astype(np.int64, copy=False)
+            values = read_block(fh, "<f8", total, _truncated).astype(np.float64, copy=False)
         indptr = np.r_[0, np.cumsum(nnz)]
         _check_features(ids, indptr, indices, values, dim)
 
@@ -386,6 +385,11 @@ class HashIndex:
         idx._cases = None
         return idx._set_rows(ids, labels, words,
                              sp.csr_matrix((values, indices, indptr), shape=(n, dim)))
+
+
+def _truncated(count: int, dtype: str, got: int) -> str:
+    """read_block's text for an index file that ends early."""
+    return f"truncated index file: expected {count} {dtype} items, got {got}"
 
 
 def _check_features(ids, indptr, indices, values, dim: int) -> None:
@@ -436,15 +440,3 @@ def _row_dots(x, rows: np.ndarray, q: np.ndarray) -> np.ndarray:
 
 def _snapshot(x):
     return x, np.asarray(x.multiply(x).sum(axis=1)).ravel()
-
-
-def _read(fh, dtype: str, count: int) -> np.ndarray:
-    """Exactly count items from an index file, else DataFormatError."""
-    if count < 0:
-        raise DataFormatError(f"corrupt index file: negative count {count}")
-    itemsize = np.dtype(dtype).itemsize
-    left = os.fstat(fh.fileno()).st_size - fh.tell()
-    if count * itemsize > left:
-        raise DataFormatError(
-            f"truncated index file: expected {count} {dtype} items, got {left // itemsize}")
-    return np.fromfile(fh, dtype=dtype, count=count)

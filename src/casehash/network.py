@@ -31,13 +31,14 @@ whatever n is.
 The blocks are independent and their heavy steps (scipy's CSR product, the
 numpy elementwise ops, the BLAS GEMMs) release the GIL. When BLAS is pinned
 to one thread, code_workers() is the number of cores the process may use,
-and the calling thread and the threads of a process-wide pool share the
-blocks, one thread per core, in blocks of CODE_BLOCK_ROWS // workers rows,
-so the rows in flight stay CODE_BLOCK_ROWS. Otherwise, and for a single
-block, the calling thread runs them one after another, CODE_BLOCK_ROWS rows
-at a time. A row's arithmetic does not depend on the rows blocked with it,
-so outputs and codes are bit-identical on either path. The pool is made on
-first use, and a forked child makes its own.
+and the calling thread and the threads of a pool made for that call share
+the blocks, one thread per core, in blocks of CODE_BLOCK_ROWS // workers
+rows, so the rows in flight stay CODE_BLOCK_ROWS. Otherwise, and for a
+single block, the calling thread runs them one after another,
+CODE_BLOCK_ROWS rows at a time. A row's arithmetic does not depend on the
+rows blocked with it, so outputs and codes are bit-identical on either
+path. The call joins its pool's threads before it returns, so no thread
+outlives it.
 
 forward_rows and hash_case are pure reads of the parameters
 and safe to run concurrently; training mutates parameters under exclusive
@@ -47,11 +48,8 @@ access.
 from __future__ import annotations
 
 import contextvars
-import math
 import os
-import struct
-import threading
-from concurrent.futures import ThreadPoolExecutor, wait
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -320,34 +318,10 @@ def code_workers() -> int:
     return os.cpu_count() or 1
 
 
-_pool: ThreadPoolExecutor | None = None
-_pool_lock = threading.Lock()
-
-
-def _block_pool(threads: int) -> ThreadPoolExecutor:
-    """The process-wide pool, made with the given thread count on first use."""
-    global _pool
-    with _pool_lock:
-        if _pool is None:
-            _pool = ThreadPoolExecutor(max_workers=threads,
-                                       thread_name_prefix="casehash-code")
-        return _pool
-
-
-def _forget_pool() -> None:
-    """A forked child has none of its parent's threads, so it starts over."""
-    global _pool, _pool_lock
-    _pool, _pool_lock = None, threading.Lock()
-
-
-if hasattr(os, "register_at_fork"):
-    os.register_at_fork(after_in_child=_forget_pool)
-
-
 def forward_rows(x, params: NetworkParams) -> np.ndarray:
     """Relaxed outputs for the rows of an (n, d) CSR matrix, shape (n, r),
     computed a block of rows at a time on code_workers() threads: the
-    caller's and, past the first, the pool's."""
+    caller's and, past the first, those of a pool made for this call."""
     d = params.d
     if x.shape[1] != d:
         raise DataFormatError(f"feature matrix has {x.shape[1]} columns, network dim is {d}")
@@ -374,14 +348,12 @@ def forward_rows(x, params: NetworkParams) -> np.ndarray:
     # the caller takes every workers-th block itself, so the pool needs one
     # thread fewer (each thread costs resident memory for its own malloc
     # arena and BLAS buffers); pool threads run in a copy of the caller's
-    # context, so np.errstate holds there too
-    pool = _block_pool(workers - 1)
-    futures = [pool.submit(contextvars.copy_context().run, run_blocks, starts[k::workers])
-               for k in range(1, workers)]
-    try:
+    # context, so np.errstate holds there too; leaving the with block joins
+    # them, so no thread writes to out once this returns
+    with ThreadPoolExecutor(workers - 1, thread_name_prefix="casehash-code") as pool:
+        futures = [pool.submit(contextvars.copy_context().run, run_blocks, starts[k::workers])
+                   for k in range(1, workers)]
         run_blocks(starts[::workers])
-    finally:
-        wait(futures)  # no thread writes to out once this returns
     for future in futures:
         future.result()  # re-raises a block's DivergenceError
     return out
@@ -435,22 +407,30 @@ def init_params(hyper: Hyperparams, d: int, seed: int) -> NetworkParams:
     return NetworkParams(d=d, w_p=w_p, v=v, layers=layers, hyper=hyper)
 
 
+def read_block(fh, dtype: str, count: int, truncated) -> np.ndarray:
+    """Exactly count items of dtype from the binary file fh. When fewer are
+    left it raises DataFormatError with the caller's text,
+    truncated(count, dtype, got), got being the whole items left."""
+    itemsize = np.dtype(dtype).itemsize
+    left = os.fstat(fh.fileno()).st_size - fh.tell()
+    if count < 0 or count * itemsize > left:
+        raise DataFormatError(truncated(count, dtype, left // itemsize))
+    return np.fromfile(fh, dtype=dtype, count=count)
+
+
 def save_checkpoint(params: NetworkParams, path) -> None:
-    """Versioned binary: header (magic, version, d, k_w, k_v, r, l, layer
-    sizes, flags) then w_p, v and each (w, b) as row-major float64 LE."""
+    """Versioned binary: the magic, then one little-endian uint32 header
+    array (version, d, k_w, k_v, r, l, the l + 1 layer sizes, flags, whose
+    bit 0 is first_order), then w_p, v and each (w, b) as row-major float64
+    LE."""
     hyper = params.hyper
-    sizes = hyper.layer_sizes()
-    flags = 1 if hyper.first_order else 0
+    header = [CHECKPOINT_VERSION, params.d, hyper.k_w, hyper.k_v, hyper.r, hyper.l,
+              *hyper.layer_sizes(), 1 if hyper.first_order else 0]
     with open(str(path), "wb") as fh:
         fh.write(CHECKPOINT_MAGIC)
-        fh.write(struct.pack(
-            "<IIIIII", CHECKPOINT_VERSION, params.d, hyper.k_w, hyper.k_v,
-            hyper.r, hyper.l,
-        ))
-        fh.write(struct.pack(f"<{len(sizes)}I", *sizes))
-        fh.write(struct.pack("<I", flags))
+        np.array(header, dtype="<u4").tofile(fh)
         for _, arr in params.arrays():
-            fh.write(np.ascontiguousarray(arr, dtype="<f8").tobytes())
+            np.ascontiguousarray(arr, dtype="<f8").tofile(fh)
 
 
 def load_checkpoint(path, hyper: Hyperparams | None = None) -> NetworkParams:
@@ -459,24 +439,21 @@ def load_checkpoint(path, hyper: Hyperparams | None = None) -> NetworkParams:
     Structural fields come from the header; loss/lifecycle hyperparameters
     (alpha, lambda_, beta, n_u, top_n) are taken from the supplied hyper when
     given and default otherwise. A file that is not a whole checkpoint of
-    this version raises DataFormatError; a supplied hyper whose structural
-    fields disagree with the file raises ValueError.
+    this version raises DataFormatError: one without the magic is "not a
+    checkpoint file", one that ends before its last array is a "truncated
+    checkpoint file". A supplied hyper whose structural fields disagree with
+    the file raises ValueError.
     """
+    def truncated(*_):
+        return f"{path}: truncated checkpoint file"
+
     with open(str(path), "rb") as fh:
-        size = os.fstat(fh.fileno()).st_size
-
-        def read(n_bytes: int) -> bytes:
-            if n_bytes > size - fh.tell():
-                raise DataFormatError(f"{path}: truncated checkpoint file")
-            return fh.read(n_bytes)
-
         if fh.read(4) != CHECKPOINT_MAGIC:
             raise DataFormatError(f"{path}: not a checkpoint file")
-        version, d, k_w, k_v, r, l = struct.unpack("<IIIIII", read(24))
+        version, d, k_w, k_v, r, l = read_block(fh, "<u4", 6, truncated).tolist()
         if version != CHECKPOINT_VERSION:
             raise DataFormatError(f"{path}: unsupported checkpoint version {version}")
-        sizes = list(struct.unpack(f"<{l + 1}I", read(4 * (l + 1))))
-        (flags,) = struct.unpack("<I", read(4))
+        *sizes, flags = read_block(fh, "<u4", l + 2, truncated).tolist()
         first_order = bool(flags & 1)
         try:
             stored = Hyperparams(k_w=k_w, k_v=k_v, r=r, l=l,
@@ -491,18 +468,14 @@ def load_checkpoint(path, hyper: Hyperparams | None = None) -> NetworkParams:
         elif (hyper.k_w, hyper.first_order, hyper.layer_sizes()) != (k_w, first_order, sizes):
             raise ValueError(f"{path}: checkpoint structure disagrees with config")
 
-        def read_array(shape):
-            count = math.prod(shape)
-            data = np.frombuffer(read(8 * count), dtype="<f8", count=count)
-            return data.reshape(shape).astype(np.float64)
-
         d_eff = d + 1 if first_order else d
-        w_p = read_array((k_w, d_eff))
-        v = read_array((k_w, k_v))
+        w_p = read_block(fh, "<f8", k_w * d_eff, truncated).reshape(k_w, d_eff)
+        v = read_block(fh, "<f8", k_w * k_v, truncated).reshape(k_w, k_v)
         layers = []
         for i in range(l):
-            w = read_array((sizes[i + 1], sizes[i]))
-            b = read_array((sizes[i + 1],))
+            n_in, n_out = sizes[i], sizes[i + 1]
+            w = read_block(fh, "<f8", n_out * n_in, truncated).reshape(n_out, n_in)
+            b = read_block(fh, "<f8", n_out, truncated)
             layers.append(FcLayer(w=w, b=b,
                                   activation="squash" if i == l - 1 else "relu"))
     return NetworkParams(d=d, w_p=w_p, v=v, layers=layers, hyper=hyper)

@@ -286,6 +286,14 @@ class TestBenchCommand:
         assert res["n_queries"] == 10
         assert "ratio_mean" in res
 
+    def test_out_file_holds_stdout(self, tmp_path, data_file, capsys):
+        out = tmp_path / "bench.json"
+        code, stdout, _ = run(capsys, "bench", "--data", data_file, "--hash", "lsh",
+                              "--bits", "8", "--queries", "10", "--out", str(out))
+        assert code == 0
+        assert out.read_text() == stdout
+        assert json.loads(stdout)["n_queries"] == 10
+
 
 class TestIndexAndQuery:
     def test_round_trip(self, tmp_path, data_file, capsys):
@@ -519,6 +527,25 @@ class TestExitCodes:
                                 "--bits", "8", "--out", str(tmp_path / out))
         assert code == 2
         assert str(tmp_path / out) in err and "Traceback" not in err
+        assert stdout == ""
+
+    @pytest.mark.parametrize("argv", [
+        ["eval", "--hash", "lsh", "--bits", "8"],
+        ["eval", "--folds", "2"],
+        ["bench", "--hash", "lsh", "--bits", "8", "--queries", "10"],
+    ], ids=["eval", "eval-k-folds", "bench"])
+    def test_report_out_is_a_directory(self, tmp_path, data_file, capsys, monkeypatch,
+                                       argv):
+        import casehash.cli as cli
+
+        def no_work(*args, **kw):
+            raise AssertionError("work started before --out was opened")
+
+        monkeypatch.setattr(cli, "train", no_work)
+        monkeypatch.setattr(cli.HashIndex, "build", no_work)
+        code, stdout, err = run(capsys, *argv, "--data", data_file, "--out", str(tmp_path))
+        assert code == 2
+        assert str(tmp_path) in err and "Traceback" not in err
         assert stdout == ""
 
     @pytest.mark.parametrize("argv, message", [

@@ -289,21 +289,35 @@ class TestCodePool:
         assert not any(t.is_alive() for t in threads)
         assert all(np.array_equal(got, want) for got in results)
 
+    @pytest.mark.parametrize("bad_row", [None, B // 2 + 1, B + 1],
+                             ids=["returns", "pool-block-diverges", "caller-block-diverges"])
+    def test_no_thread_outlives_the_call(self, block_cases, small_params, monkeypatch,
+                                         bad_row):
+        # with two workers, blocks of B // 2 rows alternate caller, pool, caller
+        force_workers(monkeypatch, 2)
+        cases = list(block_cases)
+        if bad_row is None:
+            forward_batch(cases, small_params)
+        else:
+            cases[bad_row] = make_case(12, [(0, 1e200), (3, 1e200)], case_id=bad_row)
+            with np.errstate(over="ignore", invalid="ignore"), \
+                    pytest.raises(DivergenceError):
+                forward_batch(cases, small_params)
+        assert [t.name for t in threading.enumerate()
+                if t.name.startswith("casehash-code")] == []
+
     @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
-    def test_forked_child_makes_its_own_pool(self, block_cases, block_reference,
-                                             monkeypatch):
+    def test_forked_child_codes_identically(self, block_cases, block_reference,
+                                            monkeypatch):
         force_workers(monkeypatch, 2)
         params, _, codes = block_reference
         want = np.array(codes, dtype=np.uint64)
-        params.code_batch(block_cases)
-        assert network._pool is not None
+        params.code_batch(block_cases)  # the parent codes on a pool before it forks
         pid = os.fork()
         if pid == 0:  # the child: report through the exit status only
             status = 1
             try:
-                fresh = network._pool is None
-                same = np.array_equal(params.code_batch(block_cases), want)
-                status = 0 if fresh and same and network._pool is not None else 1
+                status = 0 if np.array_equal(params.code_batch(block_cases), want) else 1
             finally:
                 os._exit(status)
         deadline = time.monotonic() + 120
@@ -318,15 +332,23 @@ class TestCodePool:
         assert done and os.waitstatus_to_exitcode(status) == 0
 
 
+# the child records the thread that ran each block's FC stack, which shows
+# whether the pool's threads coded any block
 CHILD_CODES = """
-import json, sys
+import json, threading
 import numpy as np
 from casehash import Hyperparams, init_params, network
 from conftest import random_cases
+coders, relaxed_output = set(), network.relaxed_output
+def traced(z, params):
+    coders.add(threading.current_thread().name)
+    return relaxed_output(z, params)
+network.relaxed_output = traced
 cases = random_cases(np.random.default_rng(3), 3 * network.CODE_BLOCK_ROWS + 5,
                      dim=30, nnz=5)
 words = init_params(Hyperparams(r=24), d=30, seed=2).code_batch(cases)
-print(json.dumps({"workers": network.code_workers(), "pool": network._pool is not None,
+print(json.dumps({"workers": network.code_workers(),
+                  "pooled": any(name.startswith("casehash-code") for name in coders),
                   "codes": words.tobytes().hex()}))
 """
 
@@ -344,7 +366,7 @@ def test_pinned_blas_codes_on_the_pool(monkeypatch):
                           capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr
     child = json.loads(proc.stdout.splitlines()[-1])
-    assert child["workers"] >= 2 and child["pool"]
+    assert child["workers"] >= 2 and child["pooled"]
 
     force_workers(monkeypatch, 1)
     cases = random_cases(np.random.default_rng(3), 3 * B + 5, dim=30, nnz=5)
