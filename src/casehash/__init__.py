@@ -44,7 +44,6 @@ from .sparse import (
     load_sparse_text,
     normalize,
     split,
-    write_sparse_text,
 )
 from .synthetic import clustered_fixture, two_class_fixture
 from .training import (
@@ -71,5 +70,5 @@ __all__ = [
     "hamming_distance", "hash_case", "init_params", "kfold",
     "load_checkpoint", "load_csv", "load_sparse_text", "map_at_n",
     "normalize", "prec_at_n", "sample_pairs", "save_checkpoint", "split",
-    "train", "two_class_fixture", "write_sparse_text",
+    "train", "two_class_fixture",
 ]

@@ -21,7 +21,7 @@ import numpy as np
 
 from .index import HashIndex, RetrievalResult
 from .network import HashCode, NetworkParams
-from .sparse import SparseCase
+from .sparse import SparseCase, cases_to_csr
 from .training import OptimizerState, PairBatch, adaptive_objective_and_grad
 
 VOTE_TIEBREAK = 1e-9
@@ -181,10 +181,12 @@ class CbrEngine:
         """Adapt the network to the buffered cases, then recode the index.
 
         Pairs: every unordered buffer pair plus each buffer case against a
-        reservoir sample of stored cases. Runs update_epochs full-batch
-        steps of the retention loss; steps with exactly zero loss apply no
-        parameter change, so a fully satisfied margin is a no-op. Returns
-        the last loss evaluated; last_update holds the round's UpdateStats.
+        reservoir sample of stored cases, all rows of one feature matrix.
+        Runs update_epochs full-batch steps of the retention loss; steps
+        with exactly zero loss apply no parameter change, so a fully
+        satisfied margin is a no-op. Every round counts in n_updates, one
+        that forms no pair too. Returns the last loss evaluated;
+        last_update holds the round's UpdateStats.
         """
         if not self.trainable:
             raise RuntimeError("coder has no trainable parameters")
@@ -195,11 +197,12 @@ class CbrEngine:
         cases = buffered + others
         i, j = np.triu_indices(len(buffered), k=1, m=len(cases))
         self.buffer.clear()
+        self.n_updates += 1
         self.last_update = stats = UpdateStats(pairs=len(i))
         if not len(i):
             return 0.0
         labels = np.array([c.label for c in cases])
-        batch = PairBatch(cases=cases, i=i, j=j, s=labels[i] == labels[j])
+        batch = PairBatch(x=cases_to_csr(cases, self.coder.d), i=i, j=j, s=labels[i] == labels[j])
 
         opt = OptimizerState(kind="adam", lr=self.update_lr)
         for _ in range(self.update_epochs):
@@ -213,7 +216,6 @@ class CbrEngine:
             changed = self.index.replace_codes(self.coder)
             stats.recode_us = (time.perf_counter_ns() - t0) / 1e3
             stats.churn = changed / len(self.index)
-        self.n_updates += 1
         return stats.loss
 
     # full cycle

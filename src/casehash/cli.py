@@ -12,7 +12,9 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import errno
 import json
+import os
 import sys
 from dataclasses import dataclass, field, fields
 from typing import get_type_hints
@@ -270,10 +272,25 @@ def cmd_eval(args, cfg: RunConfig) -> int:
     return 0
 
 
+@contextlib.contextmanager
 def _open_out(args, default=None):
-    """The --out file, opened now so that one that cannot be written fails
-    before any work, else default."""
-    return open(args.out, "w", encoding="utf-8") if args.out else contextlib.nullcontext(default)
+    """The --out file, else default. Output goes to a temporary file beside
+    --out, created now so that an --out that cannot be written fails before
+    any work, and renamed onto --out only when the command succeeds; a
+    failed run leaves what --out held as it was, and no temporary file."""
+    if not args.out:
+        yield default
+        return
+    if os.path.isdir(args.out):
+        raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), args.out)
+    partial = f"{args.out}.{os.getpid()}.tmp"
+    try:
+        with open(partial, "w", encoding="utf-8") as fh:
+            yield fh
+        os.replace(partial, args.out)
+    finally:
+        with contextlib.suppress(FileNotFoundError):
+            os.remove(partial)
 
 
 def _report(out, text: str) -> None:

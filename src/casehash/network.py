@@ -188,19 +188,6 @@ class HashCode:
         row = np.asarray(values).reshape(1, -1)
         return HashCode(r=row.shape[1], words=tuple(pack_rows(row)[0].tolist()))
 
-    def to_signs(self) -> np.ndarray:
-        bits = unpack_words([self.words], self.r)[0]
-        return bits.astype(np.int8) * 2 - 1
-
-    def bit(self, m: int) -> int:
-        return (self.words[m // _WORD_BITS] >> (m % _WORD_BITS)) & 1
-
-    def flip(self, *bits: int) -> "HashCode":
-        words = list(self.words)
-        for m in bits:
-            words[m // _WORD_BITS] ^= 1 << (m % _WORD_BITS)
-        return HashCode(r=self.r, words=tuple(words))
-
 
 def hamming_distance(a: HashCode, b: HashCode) -> int:
     """Number of differing bits; equals (r - <a, b>) / 2 on sign vectors."""

@@ -52,12 +52,6 @@ class SparseVector:
     def nnz(self) -> int:
         return len(self.indices)
 
-    def to_dense(self) -> np.ndarray:
-        out = np.zeros(self.dim)
-        if self.indices:
-            out[list(self.indices)] = self.values
-        return out
-
     @staticmethod
     def from_pairs(dim: int, pairs) -> "SparseVector":
         """Build from (index, value) pairs; zero values are dropped."""
@@ -223,16 +217,6 @@ def load_sparse_text(path, dim: int | None = None) -> list[SparseCase]:
         )
         for i, (lab, idx, val) in enumerate(rows)
     ]
-
-
-def write_sparse_text(cases, path) -> None:
-    """Inverse of load_sparse_text for already-dense labels; exact round trip."""
-    with open(str(path), "w", encoding="utf-8") as fh:
-        for case in cases:
-            entries = " ".join(
-                f"{i}:{v!r}" for i, v in zip(case.features.indices, case.features.values)
-            )
-            fh.write(f"{case.label} {entries}".rstrip() + "\n")
 
 
 def parse_schema_spec(text: str) -> dict[str, str]:

@@ -5,13 +5,15 @@ The objective over a batch of supervised pairs is
     sum_pairs [ log(1 + e^(alpha * s_hat)) - alpha * s * s_hat ]
         - lambda * sum_cases ||z_out||^2
 
-with s_hat the inner product of the two cases' relaxed outputs. The batch's
-distinct cases run through network.py's head (block_sums, interaction,
-fc_stack) as one CSR block, keeping each FC layer's (pre, out), and the
-gradients are closed-form matrix products over that block (validated
-against central finite differences). A hinge-gated variant of the loss
-(adaptive_objective_and_grad) drives the retention-time model update: pairs
-whose code similarity already clears the margin r*beta contribute nothing.
+with s_hat the inner product of the two cases' relaxed outputs. Pairs index
+rows of one CSR feature matrix, which train converts from its case list
+once. A batch's distinct rows, sliced out as one block, run through
+network.py's head (block_sums, interaction, fc_stack), keeping each FC
+layer's (pre, out), and the gradients are closed-form matrix products over
+that block (validated against central finite differences). A hinge-gated
+variant of the loss (adaptive_objective_and_grad) drives the retention-time
+model update: pairs whose code similarity already clears the margin r*beta
+contribute nothing.
 """
 
 from __future__ import annotations
@@ -39,14 +41,14 @@ from .sparse import cases_to_csr
 
 @dataclass
 class PairBatch:
-    """Supervised (i, j, s) triples referencing positions in a case list.
+    """Supervised (i, j, s) triples over the rows of a feature matrix.
 
-    i/j index into `cases`; s holds 0/1 similarity labels. Pairs are unordered
-    and unique, with i != j everywhere. `unbalanced` marks degenerate batches
-    (single-label data) where positive/negative balancing was impossible.
+    i/j index rows of x, a scipy CSR matrix; s holds 0/1 similarity labels.
+    Pairs are unordered and unique, with i != j everywhere. `unbalanced`
+    marks degenerate batches (single-label data) where balancing was impossible.
     """
 
-    cases: list
+    x: object
     i: np.ndarray
     j: np.ndarray
     s: np.ndarray
@@ -76,11 +78,6 @@ class PairBatch:
     @property
     def n_negative(self) -> int:
         return len(self) - self.n_positive
-
-    def distinct_positions(self) -> np.ndarray:
-        if len(self.i) == 0:
-            return np.empty(0, dtype=np.int64)
-        return np.unique(np.concatenate([self.i, self.j]))
 
 
 @dataclass
@@ -118,21 +115,21 @@ def _adaptive_loss_and_dshat(s, s_hat, alpha, beta, r):
 
 
 def _forward_distinct(batch: PairBatch, params: NetworkParams):
-    """Forward pass over the batch's distinct cases as one CSR block.
+    """Forward pass over the batch's distinct rows as one CSR block.
 
     Returns (positions, trace, z, local): trace holds what _backward needs
     (the block x, its square x_sq, the running sums s1 and s2, the
     interaction output and each FC layer's (pre, out)), z the relaxed
-    codes, and local maps a case position to its row of z, so local[batch.i]
+    codes, and local maps a row of batch.x to its row of z, so local[batch.i]
     gives each pair's first row.
     """
-    positions = batch.distinct_positions()
-    x = cases_to_csr([batch.cases[p] for p in positions], params.d)
+    positions = np.unique(np.concatenate([batch.i, batch.j]))
+    x = batch.x[positions]
     x_sq = x.multiply(x)
     s1, s2 = block_sums(x, x_sq, params.w_p.T, (params.w_p ** 2).T)
     z_in = interaction(s1, s2, params.v)
     layers = list(fc_stack(z_in, params))
-    local = np.zeros(len(batch.cases), dtype=np.int64)
+    local = np.zeros(batch.x.shape[0], dtype=np.int64)
     local[positions] = np.arange(len(positions))
     return positions, (x, x_sq, s1, s2, z_in, layers), layers[-1][1], local
 
@@ -225,21 +222,20 @@ def adaptive_objective_and_grad(batch: PairBatch, params: NetworkParams):
     return float(losses.sum()), _backward(params, trace, _pair_pull(li, lj, dshat, z))
 
 
-def sample_pairs(cases, batch_size: int, seed: int, neg_ratio: float = 1.0) -> PairBatch:
-    """Label-stratified case draw, all within-draw pairs, negatives subsampled.
+def sample_pairs(x, labels, batch_size: int, seed: int, neg_ratio: float = 1.0) -> PairBatch:
+    """Label-stratified row draw, all within-draw pairs, negatives subsampled.
 
-    Draws up to batch_size cases cycling through the labels, forms every
-    unordered pair among them, then keeps all positives and about
-    len(positives) * neg_ratio negatives. Single-label (or single-class-pair)
-    draws are returned unbalanced with the flag set.
+    Draws up to batch_size rows cycling through labels, one int64 per row of
+    x, forms every unordered pair among them, then keeps all positives and
+    about len(positives) * neg_ratio negatives. Single-label (or
+    single-class-pair) draws are returned unbalanced with the flag set.
     """
     if batch_size < 2:
         raise ValueError("batch_size must be >= 2")
-    if len(cases) < 2:
+    if len(labels) < 2:
         raise ValueError("need at least 2 cases to form pairs")
     rng = np.random.default_rng(seed)
 
-    labels = np.fromiter((c.label for c in cases), dtype=np.int64, count=len(cases))
     by_label = np.argsort(labels, kind="stable")
     bounds = np.flatnonzero(np.diff(labels[by_label])) + 1
     pools = [rng.permutation(group) for group in np.split(by_label, bounds)]
@@ -247,7 +243,7 @@ def sample_pairs(cases, batch_size: int, seed: int, neg_ratio: float = 1.0) -> P
     # pool: the case t places from the end goes in round t
     rounds = np.concatenate([np.arange(len(p))[::-1] for p in pools])
     turn = np.repeat(np.arange(len(pools)), [len(p) for p in pools])
-    drawn = np.lexsort((turn, rounds))[:min(batch_size, len(cases))]
+    drawn = np.lexsort((turn, rounds))[:min(batch_size, len(labels))]
     chosen = np.sort(np.concatenate(pools)[drawn])
 
     a, b = np.triu_indices(len(chosen), k=1)
@@ -272,7 +268,7 @@ def sample_pairs(cases, batch_size: int, seed: int, neg_ratio: float = 1.0) -> P
     i = np.concatenate([p[same], p[neg]])
     j = np.concatenate([q[same], q[neg]])
     s = np.concatenate([np.ones(n_pos), np.zeros(int(neg.sum()))])
-    return PairBatch(cases=cases, i=i, j=j, s=s, unbalanced=unbalanced)
+    return PairBatch(x=x, i=i, j=j, s=s, unbalanced=unbalanced)
 
 
 @dataclass
@@ -353,7 +349,8 @@ def train(
     """
     if not train_set:
         raise ValueError("empty training set")
-    if len({c.label for c in train_set}) < 2:
+    labels = np.fromiter((c.label for c in train_set), dtype=np.int64, count=len(train_set))
+    if len(np.unique(labels)) < 2:
         warnings.warn("training set has fewer than 2 labels; pairs will be degenerate",
                       stacklevel=2)
 
@@ -364,8 +361,9 @@ def train(
     if epochs == 0:
         return TrainResult(params=params, history=[])
 
+    x = cases_to_csr(train_set, d)
     opt = OptimizerState(kind=optimizer, lr=lr)
-    val_batch = sample_pairs(train_set, min(batch_size, len(train_set)),
+    val_batch = sample_pairs(x, labels, min(batch_size, len(train_set)),
                              int(val_seed), neg_ratio)
     steps_per_epoch = max(1, -(-len(train_set) // batch_size))
     sample_rng = np.random.default_rng(int(sample_seed))
@@ -380,7 +378,7 @@ def train(
         try:
             for _ in range(steps_per_epoch):
                 step_seed = int(sample_rng.integers(0, 2 ** 63 - 1))
-                batch = sample_pairs(train_set, min(batch_size, len(train_set)),
+                batch = sample_pairs(x, labels, min(batch_size, len(train_set)),
                                      step_seed, neg_ratio)
                 value, gradients = _objective_and_grad(batch, params)
                 if not np.isfinite(value) or not gradients.is_finite():

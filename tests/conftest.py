@@ -6,8 +6,11 @@ import pytest
 
 from casehash import (Gradients, Hyperparams, SparseCase, SparseVector, batch_objective,
                       init_params)
-from casehash.network import case_sums, forward_rows, interaction, relaxed_output
+from casehash.network import (HashCode, case_sums, forward_rows, interaction, relaxed_output,
+                              unpack_words)
 from casehash.sparse import cases_to_csr
+
+_WORD_BITS = 64
 
 
 def make_case(dim, pairs, label=0, case_id=0):
@@ -29,6 +32,50 @@ def random_cases(rng, n, dim, nnz, n_labels=2, id_start=0):
             label=int(rng.integers(n_labels)),
         ))
     return cases
+
+
+def rows_and_labels(cases):
+    """The cases as train sees them: one CSR feature matrix and one int64
+    label array, row k being cases[k]."""
+    labels = np.array([c.label for c in cases], dtype=np.int64)
+    return cases_to_csr(cases, cases[0].features.dim), labels
+
+
+def to_dense(vector) -> np.ndarray:
+    """The dense float vector of a SparseVector."""
+    out = np.zeros(vector.dim)
+    if vector.indices:
+        out[list(vector.indices)] = vector.values
+    return out
+
+
+def write_sparse_text(cases, path) -> None:
+    """Inverse of load_sparse_text for already-dense labels; exact round trip."""
+    with open(str(path), "w", encoding="utf-8") as fh:
+        for case in cases:
+            entries = " ".join(
+                f"{i}:{v!r}" for i, v in zip(case.features.indices, case.features.values)
+            )
+            fh.write(f"{case.label} {entries}".rstrip() + "\n")
+
+
+def to_signs(code: HashCode) -> np.ndarray:
+    """A code's components in {-1, +1}, int8."""
+    bits = unpack_words([code.words], code.r)[0]
+    return bits.astype(np.int8) * 2 - 1
+
+
+def bit(code: HashCode, m: int) -> int:
+    """Bit m of a code: 1 iff component m is +1."""
+    return (code.words[m // _WORD_BITS] >> (m % _WORD_BITS)) & 1
+
+
+def flip(code: HashCode, *bits: int) -> HashCode:
+    """The code with the given bits inverted."""
+    words = list(code.words)
+    for m in bits:
+        words[m // _WORD_BITS] ^= 1 << (m % _WORD_BITS)
+    return HashCode(r=code.r, words=tuple(words))
 
 
 def interact(embeddings, v):
@@ -134,7 +181,7 @@ def hamming_ball(code, radius: int):
     yield code
     for t in range(1, radius + 1):
         for bits in combinations(range(code.r), t):
-            yield code.flip(*bits)
+            yield flip(code, *bits)
 
 
 @pytest.fixture

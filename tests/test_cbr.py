@@ -6,8 +6,9 @@ from casehash import (CbrEngine, HashCode, HashIndex, Hyperparams, LshPlanes,
 import casehash.cbr as cbr_module
 from casehash.cbr import Suggestion
 from casehash.network import pack_rows
+from casehash.sparse import cases_to_csr
 
-from conftest import make_case, random_cases
+from conftest import flip, make_case, random_cases, to_dense
 
 
 class CountingCoder:
@@ -38,7 +39,7 @@ class MinimalCoder:
         self.sign = -1.0 if invert else 1.0
 
     def code(self, case) -> HashCode:
-        return HashCode.from_signs(self.sign * np.where(case.features.to_dense()[:self.r] > 0,
+        return HashCode.from_signs(self.sign * np.where(to_dense(case.features)[:self.r] > 0,
                                                         1.0, -1.0))
 
     def code_rows(self, x) -> np.ndarray:
@@ -93,7 +94,7 @@ class TestSuggest:
             r = 16
 
             def code(self, case):
-                return idx.code(0).flip(*range(16))
+                return flip(idx.code(0), *range(16))
 
         eng.coder = FarCoder()
         sug = eng.suggest(make_case(3, [(1, 1.0)], case_id=9))
@@ -169,22 +170,67 @@ class TestRetain:
         hyper = Hyperparams(k_w=4, k_v=4, r=8, l=2, hidden=4, n_u=4)
         params = init_params(hyper, d=8, seed=1)
         eng = CbrEngine(HashIndex.build(cases, params), params, top_n=3, seed=2)
-        seen = []
+        seen, drawn = [], []
         real = cbr_module.adaptive_objective_and_grad
+        real_reservoir = eng._reservoir
 
         def spy(batch, coder):
             seen.append(batch)
             return real(batch, coder)
 
+        def spy_reservoir(exclude):
+            drawn.extend(real_reservoir(exclude))
+            return drawn
+
         monkeypatch.setattr(cbr_module, "adaptive_objective_and_grad", spy)
-        for c in random_cases(rng, 4, dim=8, nnz=3, n_labels=3, id_start=100):
+        monkeypatch.setattr(eng, "_reservoir", spy_reservoir)
+        buffered = random_cases(rng, 4, dim=8, nnz=3, n_labels=3, id_start=100)
+        for c in buffered:
             eng.retain(c)
-        batch = seen[0]
-        assert [c.id for c in batch.cases[:4]] == [100, 101, 102, 103]
-        want = [(a, b) for a in range(4) for b in range(a + 1, len(batch.cases))]
+        batch, rows = seen[0], buffered + drawn
+        assert len(drawn) == 4 and not {c.id for c in drawn} & {100, 101, 102, 103}
+        # the batch's rows are the buffer cases, then the reservoir's
+        want_x = cases_to_csr(rows, 8)
+        assert batch.x.shape == want_x.shape
+        assert np.array_equal(batch.x.indptr, want_x.indptr)
+        assert np.array_equal(batch.x.indices, want_x.indices)
+        assert np.array_equal(batch.x.data, want_x.data)
+        want = [(a, b) for a in range(4) for b in range(a + 1, len(rows))]
         assert list(zip(batch.i.tolist(), batch.j.tolist())) == want
-        assert batch.s.tolist() == [
-            float(batch.cases[a].label == batch.cases[b].label) for a, b in want]
+        assert batch.s.tolist() == [float(rows[a].label == rows[b].label) for a, b in want]
+        # every step of the round reuses that one matrix
+        assert len(seen) > 1 and all(b.x is batch.x for b in seen)
+
+    def test_update_converts_its_cases_once_per_round(self, rng, monkeypatch):
+        calls = []
+
+        def counted(cases, dim):
+            calls.append(len(cases))
+            return cases_to_csr(cases, dim)
+
+        monkeypatch.setattr(cbr_module, "cases_to_csr", counted)
+        cases = random_cases(rng, 30, dim=8, nnz=3)
+        hyper = Hyperparams(k_w=4, k_v=4, r=8, l=2, hidden=4, n_u=4)
+        params = init_params(hyper, d=8, seed=1)
+        eng = CbrEngine(HashIndex.build(cases, params), params, top_n=3, seed=2,
+                        update_epochs=5, update_lr=0.05)
+        for c in random_cases(rng, 8, dim=8, nnz=3, id_start=100):
+            eng.retain(c)
+        assert eng.n_updates == 2
+        assert calls == [8, 8]  # 4 buffered + 4 from the reservoir, per round
+
+    def test_round_without_pairs_is_counted(self, rng):
+        # the only stored case is removed, so the round's one buffered case
+        # has no partner: it forms no pair, takes no step, and still counts
+        hyper = Hyperparams(k_w=4, k_v=4, r=8, l=2, hidden=4, n_u=1)
+        params = init_params(hyper, d=8, seed=1)
+        idx = HashIndex.build(random_cases(rng, 1, dim=8, nnz=3), params)
+        idx.remove(0)
+        eng = CbrEngine(idx, params, top_n=3, seed=2)
+        case = random_cases(rng, 1, dim=8, nnz=3, id_start=100)[0]
+        rec = eng.solve(case, true_label=case.label)
+        assert rec.updated and rec.update.pairs == 0 and rec.update.steps == 0
+        assert eng.n_updates == 1
 
     def test_zero_loss_update_is_bitwise_noop(self, rng):
         # saturate the last layer so every output is exactly +-1; a

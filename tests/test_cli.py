@@ -4,11 +4,11 @@ from dataclasses import fields
 import numpy as np
 import pytest
 
-from casehash import (HashIndex, Hyperparams, load_checkpoint, two_class_fixture,
-                      write_sparse_text)
+from casehash import (DataFormatError, HashIndex, Hyperparams, load_checkpoint,
+                      two_class_fixture)
 from casehash.cli import RunConfig, main
 
-from conftest import make_case
+from conftest import make_case, write_sparse_text
 
 FAST_CONFIG = """
 # small everything so tests stay quick
@@ -658,6 +658,93 @@ class TestModelErrors:
         assert code == 2
         assert "disagrees with config" in err
         assert stdout == ""
+
+
+class TestOutFile:
+    """eval, bench, stream and query write --out through a temporary file
+    that replaces it only when the command succeeds."""
+
+    OLD = "the report of an earlier run\n"
+
+    @pytest.fixture
+    def argv(self, request, tmp_path, data_file, config_file, capsys):
+        """The command's arguments; its coder is the checkpoint at
+        tmp_path / "m.chn", or LSH planes for query."""
+        if request.param == "query":
+            idx_path = str(tmp_path / "c.idx")
+            code, _, _ = run(capsys, "index", "--data", data_file, "--hash", "lsh",
+                             "--bits", "8", "--out", idx_path)
+            assert code == 0
+            return ["query", "--index", idx_path, "--data", data_file, "--hash", "lsh",
+                    "--bits", "8"]
+        code, _, _ = run(capsys, "train", "--data", data_file, "--config", config_file,
+                         "--out", str(tmp_path / "m.chn"))
+        assert code == 0
+        extra = ["--queries", "10"] if request.param == "bench" else []
+        return [request.param, "--data", data_file, "--config", config_file,
+                "--model", str(tmp_path / "m.chn"), *extra]
+
+    COMMANDS = pytest.mark.parametrize("argv", ["eval", "bench", "stream", "query"],
+                                       indirect=True)
+
+    @COMMANDS
+    def test_failed_run_keeps_the_old_file(self, tmp_path, argv, capsys, monkeypatch):
+        prev = tmp_path / "prev.out"
+        prev.write_text(self.OLD)
+        before = sorted(p.name for p in tmp_path.iterdir())
+        if argv[0] == "query":
+            real = HashIndex.retrieve
+            calls = []
+
+            def fails_on_the_third(*args, **kw):
+                calls.append(1)
+                if len(calls) == 3:
+                    raise DataFormatError("a query failed")
+                return real(*args, **kw)
+
+            monkeypatch.setattr(HashIndex, "retrieve", fails_on_the_third)
+        else:  # a 100-byte prefix of the checkpoint
+            model = tmp_path / "m.chn"
+            model.write_bytes(model.read_bytes()[:100])
+        code, _, err = run(capsys, *argv, "--out", str(prev))
+        assert code == 3, err
+        assert prev.read_text() == self.OLD
+        assert sorted(p.name for p in tmp_path.iterdir()) == before
+
+    @COMMANDS
+    def test_success_replaces_the_old_file(self, tmp_path, argv, capsys):
+        code, stdout, _ = run(capsys, *argv)
+        assert code == 0
+        prev = tmp_path / "prev.out"
+        prev.write_text(self.OLD)
+        before = sorted(p.name for p in tmp_path.iterdir())
+        code, stdout_out, _ = run(capsys, *argv, "--out", str(prev))
+        assert code == 0
+        if argv[0] in ("eval", "bench"):
+            assert prev.read_text() == stdout_out
+        else:
+            assert stdout_out == ""
+            assert len(prev.read_text().splitlines()) == len(stdout.splitlines())
+        assert sorted(p.name for p in tmp_path.iterdir()) == before
+
+    @COMMANDS
+    def test_out_in_a_missing_directory_exits_2_before_any_work(self, tmp_path, argv,
+                                                                capsys, monkeypatch):
+        import casehash.cli as cli
+
+        def no_work(*args, **kw):
+            raise AssertionError("work started before --out was opened")
+
+        for owner, name in ((cli, "train"), (cli, "load_checkpoint"), (cli, "CbrEngine"),
+                            (cli.HashIndex, "build"), (cli.HashIndex, "retrieve")):
+            monkeypatch.setattr(owner, name, no_work)
+        before = sorted(p.name for p in tmp_path.iterdir())
+        out = tmp_path / "missing" / "r.out"
+        code, stdout, err = run(capsys, *argv, "--out", str(out))
+        assert code == 2
+        assert str(out) in err and "Traceback" not in err
+        assert stdout == ""
+        assert sorted(p.name for p in tmp_path.iterdir()) == before
 
 
 class TestTrainDivergence:

@@ -18,7 +18,7 @@ from casehash import index as index_module
 from casehash.network import CODE_BLOCK_ROWS, inner_product
 from casehash.sparse import cases_to_csr
 
-from conftest import hamming_ball, make_case, random_cases
+from conftest import bit, flip, hamming_ball, make_case, random_cases, to_dense, to_signs
 
 
 def random_code(rng, r):
@@ -280,7 +280,7 @@ class TestRetrieve:
         cases = [make_case(4, [(0, 1.0)], case_id=0)]
         planes = LshPlanes.sample(16, 4, seed=0)
         idx = HashIndex.build(cases, planes)
-        far = idx.code(0).flip(*range(16))
+        far = flip(idx.code(0), *range(16))
         q = make_case(4, [(1, 1.0)], case_id=5)
         res = idx.retrieve(q, far, top_n=1, max_radius=2)
         assert res.ids == []
@@ -292,7 +292,7 @@ class TestRetrieve:
         idx, cases, planes = small_index(rng, n=20, r=24)
         for q in cases[:4]:
             code = planes.code(q)
-            for c in (code, code.flip(*range(24)), code.flip(*range(0, 24, 2))):
+            for c in (code, flip(code, *range(24)), flip(code, *range(0, 24, 2))):
                 for top_n in (1, 5, 20, 21):
                     check_retrieval(idx, q, c, top_n, max_radius=24)
                 assert idx.candidates_within(c, 24) == set(idx.ids())
@@ -307,12 +307,12 @@ class TestRetrieve:
         for k, case in enumerate(extra):
             code = idx.code(cases[k % 5].id)
             if k % 2:
-                code = code.flip(63, k)
-            if code.bit(63) == 0:
-                code = code.flip(63)
+                code = flip(code, 63, k)
+            if bit(code, 63) == 0:
+                code = flip(code, 63)
             idx.insert(case, code)
         codes = [idx.code(cid) for cid in idx.ids()]
-        assert 0 < sum(code.bit(63) for code in codes) < len(codes)
+        assert 0 < sum(bit(code, 63) for code in codes) < len(codes)
         assert idx.n_buckets == len(set(codes))
         for q in cases[:5] + extra[:10]:
             code = idx.code(q.id)
@@ -322,7 +322,7 @@ class TestRetrieve:
                     if hamming_distance(code, other) <= radius}
             for top_n in (1, 3, 8):
                 check_retrieval(idx, q, code, top_n, max_radius=2)
-                check_retrieval(idx, q, code.flip(63), top_n, max_radius=3)
+                check_retrieval(idx, q, flip(code, 63), top_n, max_radius=3)
 
     def test_query_dim_checked(self, rng):
         idx, _, planes = small_index(rng)
@@ -334,9 +334,9 @@ class TestRetrieve:
         idx, cases, planes = small_index(rng)
         q = cases[0]
         res = idx.linear_scan(q, top_n=len(cases))
-        qd = q.features.to_dense()
+        qd = to_dense(q.features)
         for cid, dist in zip(res.ids, res.distances):
-            want = float(np.linalg.norm(idx.case(cid).features.to_dense() - qd))
+            want = float(np.linalg.norm(to_dense(idx.case(cid).features) - qd))
             assert dist == pytest.approx(want, abs=1e-9)
 
 
@@ -535,7 +535,7 @@ class TestStats:
         stats = idx.stats()
         assert stats["n_buckets"] == idx.n_buckets == len(counts)
         assert stats["largest_bucket"] == max(counts.values())
-        signs = np.array([code.to_signs() for code in codes])
+        signs = np.array([to_signs(code) for code in codes])
         assert stats["bit_balance"] == (signs > 0).mean(axis=0).tolist()
 
     def test_empty_index(self):

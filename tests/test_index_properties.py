@@ -22,6 +22,8 @@ from hypothesis import strategies as st
 from casehash import HashCode, HashIndex, SparseCase, SparseVector, hamming_distance
 from casehash.sparse import cases_to_csr
 
+from conftest import to_dense, to_signs
+
 DIM = 5
 CENTRES = {6: (0b101100, 0b010011),
            70: ((1 << 69) | (1 << 64) | 0xF0F0F0F0F0F0F0F0, (1 << 63) | 0x0F0F0F)}
@@ -79,7 +81,7 @@ def queries(r):
 
 
 def dense(case) -> np.ndarray:
-    return case.features.to_dense()
+    return to_dense(case.features)
 
 
 def expected_retrieval(stored, query, q_code, top_n, max_radius):
@@ -154,7 +156,7 @@ def check_stats(idx):
     signs of every stored code."""
     codes = [idx.code(cid) for cid in idx.ids()]
     counts = Counter(code.words for code in codes)
-    signs = np.array([code.to_signs() for code in codes]).reshape(-1, idx.r)
+    signs = np.array([to_signs(code) for code in codes]).reshape(-1, idx.r)
     want = (signs > 0).sum(axis=0) / max(len(signs), 1)
     assert idx.stats() == {"n_buckets": len(counts),
                            "largest_bucket": max(counts.values(), default=0),

@@ -4,7 +4,7 @@ import pytest
 from casehash import HashCode, LshPlanes
 from casehash.sparse import SparseCase, SparseVector, cases_to_csr
 
-from conftest import make_case, random_cases
+from conftest import bit, make_case, random_cases, to_signs
 
 
 class TestLshPlanes:
@@ -19,7 +19,7 @@ class TestLshPlanes:
         case = random_cases(rng, 1, dim=20, nnz=6)[0]
         proj = planes.project(case)
         code = planes.code(case)
-        assert np.array_equal(code.to_signs(), np.where(proj >= 0, 1, -1))
+        assert np.array_equal(to_signs(code), np.where(proj >= 0, 1, -1))
 
     def test_scale_invariance(self, rng):
         planes = LshPlanes.sample(16, 20, seed=1)
@@ -35,7 +35,7 @@ class TestLshPlanes:
     def test_zero_vector_all_positive(self):
         planes = LshPlanes.sample(8, 10, seed=2)
         code = planes.code(make_case(10, []))
-        assert all(code.bit(m) == 1 for m in range(8))  # sign(0) = +1
+        assert all(bit(code, m) == 1 for m in range(8))  # sign(0) = +1
 
     def test_batch_matches_single(self, rng):
         planes = LshPlanes.sample(24, 15, seed=3)

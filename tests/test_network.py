@@ -39,8 +39,8 @@ from casehash.network import (
 
 from casehash.sparse import cases_to_csr
 
-from conftest import (case_output, forward_batch, interact, interact_bruteforce, make_case,
-                      random_cases)
+from conftest import (bit, case_output, flip, forward_batch, interact, interact_bruteforce,
+                      make_case, random_cases, to_signs)
 
 
 class TestSquash:
@@ -378,12 +378,12 @@ class TestHashCode:
     def test_sign_zero_is_positive(self):
         code = HashCode.from_signs(np.array([0.0, -0.1, 0.2, -0.0]))
         # -0.0 >= 0 is True, so bit 3 is also +1
-        assert [code.bit(m) for m in range(4)] == [1, 0, 1, 1]
+        assert [bit(code, m) for m in range(4)] == [1, 0, 1, 1]
 
     def test_round_trip_signs(self, rng):
         vals = rng.normal(size=70)  # crosses a word boundary
         code = HashCode.from_signs(vals)
-        signs = code.to_signs()
+        signs = to_signs(code)
         assert np.array_equal(signs, np.where(vals >= 0, 1, -1))
 
     def test_pack_rows_matches_from_signs(self, rng):
@@ -403,9 +403,9 @@ class TestHashCode:
 
     def test_flip(self):
         code = HashCode.from_signs(np.ones(10))
-        flipped = code.flip(0, 9)
-        assert flipped.bit(0) == 0 and flipped.bit(9) == 0
-        assert flipped.flip(0, 9) == code
+        flipped = flip(code, 0, 9)
+        assert bit(flipped, 0) == 0 and bit(flipped, 9) == 0
+        assert flip(flipped, 0, 9) == code
 
     def test_word_count_validation(self):
         with pytest.raises(ValueError):
@@ -417,7 +417,7 @@ class TestHashCode:
         for r in (4, 16, 36, 70):
             a = HashCode.from_signs(rng.normal(size=r))
             b = HashCode.from_signs(rng.normal(size=r))
-            ip = int(a.to_signs().astype(int) @ b.to_signs().astype(int))
+            ip = int(to_signs(a).astype(int) @ to_signs(b).astype(int))
             assert inner_product(a, b) == ip
             assert inner_product(a, a) == r
 

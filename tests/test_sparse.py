@@ -11,11 +11,10 @@ from casehash import (
     load_sparse_text,
     normalize,
     split,
-    write_sparse_text,
 )
 from casehash.sparse import cases_to_csr, parse_schema_spec
 
-from conftest import make_case, relabel, similarity_label
+from conftest import make_case, relabel, similarity_label, to_dense, write_sparse_text
 
 
 class TestSparseVector:
@@ -27,7 +26,7 @@ class TestSparseVector:
 
     def test_to_dense(self):
         v = SparseVector.from_pairs(4, [(0, 1.0), (3, 2.0)])
-        assert np.array_equal(v.to_dense(), [1.0, 0.0, 0.0, 2.0])
+        assert np.array_equal(to_dense(v), [1.0, 0.0, 0.0, 2.0])
 
     def test_rejects_unsorted(self):
         with pytest.raises(ValueError):
@@ -44,7 +43,7 @@ class TestSparseVector:
     def test_empty_vector_ok(self):
         v = SparseVector(dim=5, indices=(), values=())
         assert v.nnz == 0
-        assert np.array_equal(v.to_dense(), np.zeros(5))
+        assert np.array_equal(to_dense(v), np.zeros(5))
 
 
 class TestSparseText:
@@ -173,18 +172,18 @@ class TestNormalize:
     def test_min_max_to_unit_interval(self, tmp_path):
         cases, schema = self._fitted(tmp_path)
         normed = normalize(cases, schema)
-        ages = [c.features.to_dense()[0] for c in normed]
+        ages = [to_dense(c.features)[0] for c in normed]
         assert ages == pytest.approx([0.0, 0.5, 1.0])
 
     def test_one_hot_untouched(self, tmp_path):
         cases, schema = self._fitted(tmp_path)
         normed = normalize(cases, schema)
-        assert normed[0].features.to_dense()[2] == 1.0
+        assert to_dense(normed[0].features)[2] == 1.0
 
     def test_out_of_range_clamped(self, tmp_path):
         cases, schema = self._fitted(tmp_path)
         q = make_case(schema.dim, [(0, 99.0), (3, -5.0)], label=0, case_id=77)
-        out = normalize([q], schema)[0].features.to_dense()
+        out = to_dense(normalize([q], schema)[0].features)
         assert out[0] == 1.0
         assert out[3] == 0.0
 
@@ -253,7 +252,7 @@ class TestCsr:
 
         cases = random_cases(rng, 7, dim=9, nnz=4)
         x = cases_to_csr(cases, 9)
-        dense = np.stack([c.features.to_dense() for c in cases])
+        dense = np.stack([to_dense(c.features) for c in cases])
         assert np.array_equal(x.toarray(), dense)
 
     def test_dim_mismatch(self):

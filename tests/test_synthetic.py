@@ -3,6 +3,8 @@ import pytest
 
 from casehash import clustered_fixture, two_class_fixture
 
+from conftest import to_dense
+
 
 class TestTwoClassFixture:
     def test_deterministic(self):
@@ -22,7 +24,7 @@ class TestTwoClassFixture:
     def test_one_hot_per_group(self):
         cases = two_class_fixture(n=30, n_groups=3, n_categories=4, n_noise=0)
         for c in cases:
-            dense = c.features.to_dense()
+            dense = to_dense(c.features)
             for g in range(3):
                 group = dense[g * 4:(g + 1) * 4]
                 assert group.sum() == 1.0
@@ -34,7 +36,7 @@ class TestTwoClassFixture:
                                   n_noise=0, flip=0.0)
         for c in cases:
             for g in range(2):
-                active = c.features.to_dense()[g * 4:(g + 1) * 4].argmax()
+                active = to_dense(c.features)[g * 4:(g + 1) * 4].argmax()
                 assert active // 2 == c.label
 
     def test_block_rotation_swaps_classes(self):
@@ -44,8 +46,8 @@ class TestTwoClassFixture:
                                     n_noise=0, flip=0.0, seed=5, block_rotation=1)
         for a, b in zip(plain, rotated):
             assert a.label == b.label
-            blk_a = a.features.to_dense()[:4].argmax() // 2
-            blk_b = b.features.to_dense()[:4].argmax() // 2
+            blk_a = to_dense(a.features)[:4].argmax() // 2
+            blk_b = to_dense(b.features)[:4].argmax() // 2
             assert blk_a != blk_b
 
     def test_id_start(self):
@@ -55,7 +57,7 @@ class TestTwoClassFixture:
     def test_noise_in_unit_interval(self):
         cases = two_class_fixture(n=20, n_noise=10)
         for c in cases:
-            tail = c.features.to_dense()[-10:]
+            tail = to_dense(c.features)[-10:]
             assert np.all((tail >= 0.0) & (tail <= 1.0))
 
     def test_bad_args(self):

@@ -13,7 +13,9 @@ from casehash import (
     sample_pairs,
     train,
 )
-from casehash.training import adaptive_objective_and_grad
+from casehash import training as training_module
+from casehash.sparse import cases_to_csr
+from casehash.training import _forward_distinct, adaptive_objective_and_grad
 
 from conftest import (
     adaptive_loss,
@@ -23,6 +25,7 @@ from conftest import (
     pair_loss,
     random_cases,
     relaxed_similarity,
+    rows_and_labels,
     zero_gradients,
 )
 
@@ -86,25 +89,40 @@ class TestPairBatch:
     def test_rejects_self_pairs(self, rng):
         cases = self._cases(rng)
         with pytest.raises(ValueError):
-            PairBatch(cases=cases, i=[0], j=[0], s=[1])
+            PairBatch(x=cases_to_csr(cases, 12), i=[0], j=[0], s=[1])
 
     def test_rejects_duplicate_unordered(self, rng):
         cases = self._cases(rng)
         with pytest.raises(ValueError):
-            PairBatch(cases=cases, i=[0, 1], j=[1, 0], s=[1, 1])
+            PairBatch(x=cases_to_csr(cases, 12), i=[0, 1], j=[1, 0], s=[1, 1])
 
     def test_counts(self, rng):
         cases = self._cases(rng)
-        b = PairBatch(cases=cases, i=[0, 0, 1], j=[1, 2, 2], s=[1, 0, 0])
+        b = PairBatch(x=cases_to_csr(cases, 12), i=[0, 0, 1], j=[1, 2, 2], s=[1, 0, 0])
         assert len(b) == 3
         assert b.n_positive == 1 and b.n_negative == 2
-        assert b.distinct_positions().tolist() == [0, 1, 2]
+
+    def test_forward_codes_the_distinct_rows(self, small_params, rng):
+        # the block run through the network is the pairs' distinct rows of
+        # x, array for array what converting those cases alone gives
+        cases = self._cases(rng)
+        b = PairBatch(x=cases_to_csr(cases, 12), i=[5, 1, 5], j=[1, 7, 3], s=[1, 0, 0])
+        positions, trace, z, local = _forward_distinct(b, small_params)
+        assert positions.tolist() == [1, 3, 5, 7]
+        block, want = trace[0], cases_to_csr([cases[p] for p in positions], 12)
+        assert block.shape == want.shape
+        for got_arr, want_arr in ((block.indptr, want.indptr), (block.indices, want.indices),
+                                  (block.data, want.data)):
+            assert got_arr.dtype == want_arr.dtype
+            assert np.array_equal(got_arr, want_arr)
+        assert local[positions].tolist() == [0, 1, 2, 3]
+        assert np.array_equal(z, forward_batch([cases[p] for p in positions], small_params))
 
 
 class TestObjective:
     def test_matches_manual_sum(self, small_params, rng):
         cases = random_cases(rng, 4, dim=12, nnz=5)
-        b = PairBatch(cases=cases, i=[0, 1], j=[2, 3], s=[1, 0])
+        b = PairBatch(x=cases_to_csr(cases, 12), i=[0, 1], j=[2, 3], s=[1, 0])
         hyper = small_params.hyper
         outputs = [forward_batch([c], small_params)[0] for c in cases]
         manual = 0.0
@@ -116,7 +134,7 @@ class TestObjective:
 
     def test_empty_batch_zero_gradients(self, small_params, rng):
         cases = random_cases(rng, 3, dim=12, nnz=4)
-        b = PairBatch(cases=cases, i=[], j=[], s=[])
+        b = PairBatch(x=cases_to_csr(cases, 12), i=[], j=[], s=[])
         assert batch_objective(b, small_params) == 0.0
         g = grad(b, small_params)
         assert all(np.all(a == 0) for _, a in g.arrays())
@@ -127,14 +145,14 @@ class TestGradient:
         hyper = Hyperparams(k_w=4, k_v=3, r=5, l=2, hidden=4, lambda_=0.3)
         params = init_params(hyper, d=8, seed=3)
         cases = random_cases(rng, 5, dim=8, nnz=3)
-        b = PairBatch(cases=cases, i=[0, 0, 1, 2], j=[1, 2, 3, 4], s=[1, 0, 1, 0])
+        b = PairBatch(x=cases_to_csr(cases, 8), i=[0, 0, 1, 2], j=[1, 2, 3, 4], s=[1, 0, 1, 0])
         assert rel_err(grad(b, params), finite_diff_grad(b, params, 1e-5)) < 1e-6
 
     def test_first_order_config(self, rng):
         hyper = Hyperparams(k_w=3, k_v=3, r=4, l=2, hidden=3, first_order=True)
         params = init_params(hyper, d=6, seed=9)
         cases = random_cases(rng, 4, dim=6, nnz=2)
-        b = PairBatch(cases=cases, i=[0, 1], j=[2, 3], s=[1, 0])
+        b = PairBatch(x=cases_to_csr(cases, 6), i=[0, 1], j=[2, 3], s=[1, 0])
         # gradients here are ~1e-6 in magnitude, so fd rounding noise caps
         # the achievable relative agreement; 1e-4 is the contract tolerance
         assert rel_err(grad(b, params), finite_diff_grad(b, params, 1e-5)) < 1e-4
@@ -144,17 +162,17 @@ class TestGradient:
         hyper = Hyperparams(k_w=3, k_v=2, r=3, l=2, hidden=3, lambda_=0.4)
         params = init_params(hyper, d=5, seed=11)
         cases = random_cases(rng, 2, dim=5, nnz=2)
-        b = PairBatch(cases=cases, i=[0], j=[1], s=[1])
+        b = PairBatch(x=cases_to_csr(cases, 5), i=[0], j=[1], s=[1])
         assert rel_err(grad(b, params), finite_diff_grad(b, params, 1e-5)) < 1e-6
 
     def test_adaptive_gradient_matches_fd(self, rng):
         hyper = Hyperparams(k_w=3, k_v=3, r=4, l=2, hidden=3, beta=0.1)
         params = init_params(hyper, d=6, seed=4)
         cases = random_cases(rng, 4, dim=6, nnz=3)
-        b = PairBatch(cases=cases, i=[0, 0, 1], j=[1, 2, 3], s=[1, 0, 1])
+        b = PairBatch(x=cases_to_csr(cases, 6), i=[0, 0, 1], j=[1, 2, 3], s=[1, 0, 1])
 
         def objective(p):
-            from casehash.training import _forward_distinct, _adaptive_loss_and_dshat
+            from casehash.training import _adaptive_loss_and_dshat
             _, _, z, local = _forward_distinct(b, p)
             li = [local[x] for x in b.i.tolist()]
             lj = [local[x] for x in b.j.tolist()]
@@ -182,35 +200,35 @@ class TestGradient:
 class TestSamplePairs:
     def test_deterministic(self, rng):
         cases = random_cases(rng, 30, dim=10, nnz=3)
-        a = sample_pairs(cases, 12, seed=5)
-        b = sample_pairs(cases, 12, seed=5)
+        a = sample_pairs(*rows_and_labels(cases), 12, seed=5)
+        b = sample_pairs(*rows_and_labels(cases), 12, seed=5)
         assert a.i.tolist() == b.i.tolist()
         assert a.j.tolist() == b.j.tolist()
         assert a.s.tolist() == b.s.tolist()
 
     def test_balanced_about_one_to_one(self, rng):
         cases = random_cases(rng, 40, dim=10, nnz=3)
-        b = sample_pairs(cases, 20, seed=7)
+        b = sample_pairs(*rows_and_labels(cases), 20, seed=7)
         assert not b.unbalanced
         assert b.n_negative <= max(b.n_positive, 1)
 
     def test_supervision_matches_labels(self, rng):
         cases = random_cases(rng, 20, dim=10, nnz=3)
-        b = sample_pairs(cases, 10, seed=2)
+        b = sample_pairs(*rows_and_labels(cases), 10, seed=2)
         for i, j, s in zip(b.i, b.j, b.s):
             assert s == (1.0 if cases[i].label == cases[j].label else 0.0)
 
     def test_single_label_warns_unbalanced(self, rng):
         cases = random_cases(rng, 10, dim=10, nnz=3, n_labels=1)
         with pytest.warns(UserWarning):
-            b = sample_pairs(cases, 6, seed=0)
+            b = sample_pairs(*rows_and_labels(cases), 6, seed=0)
         assert b.unbalanced
         assert b.n_negative == 0
 
     def test_worked_example_four_cases(self):
         # labels (a,a,b,b): 2 positive pairs, up to 4 negatives, balanced 2:2
         cases = [make_case(4, [(i, 1.0)], label=i // 2, case_id=i) for i in range(4)]
-        b = sample_pairs(cases, 4, seed=1)
+        b = sample_pairs(*rows_and_labels(cases), 4, seed=1)
         assert b.n_positive == 2
         assert b.n_negative == 2
 
@@ -261,6 +279,20 @@ class TestTrain:
         for (_, x), (_, y) in zip(a.params.arrays(), b.params.arrays()):
             assert np.array_equal(x, y)
         assert [r.objective for r in a.history] == [r.objective for r in b.history]
+
+    def test_converts_the_cases_once(self, rng, monkeypatch):
+        calls = []
+
+        def counted(cases, dim):
+            calls.append(len(cases))
+            return cases_to_csr(cases, dim)
+
+        monkeypatch.setattr(training_module, "cases_to_csr", counted)
+        cases = self._data(rng)
+        hyper = Hyperparams(k_w=4, k_v=4, r=8, l=2, hidden=6)
+        res = train(cases, hyper, epochs=3, seed=5, batch_size=16)
+        assert len(res.history) == 3
+        assert calls == [len(cases)]
 
     def test_zero_epochs_returns_init(self, rng):
         cases = self._data(rng)
