@@ -19,9 +19,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import sparse
 from .index import HashIndex, RetrievalResult
 from .network import HashCode, NetworkParams
-from .sparse import SparseCase, cases_to_csr
+from .sparse import SparseCase
 from .training import OptimizerState, PairBatch, adaptive_objective_and_grad
 
 VOTE_TIEBREAK = 1e-9
@@ -123,10 +124,9 @@ class CbrEngine:
         t1 = time.perf_counter_ns()
         votes: dict[int, int] = {}
         dist_sum: dict[int, float] = {}
-        for cid, dist in zip(result.ids, result.distances):
-            lab = self.index.label(cid)
+        for lab, dist in zip(self.index.labels(result.ids).tolist(), result.distances.tolist()):
             votes[lab] = votes.get(lab, 0) + 1
-            dist_sum[lab] = dist_sum.get(lab, 0.0) + float(dist)
+            dist_sum[lab] = dist_sum.get(lab, 0.0) + dist
         if votes:
             ranked = sorted(votes, key=lambda l: (-votes[l], dist_sum[l], l))
             label = ranked[0]
@@ -202,7 +202,8 @@ class CbrEngine:
         if not len(i):
             return 0.0
         labels = np.array([c.label for c in cases])
-        batch = PairBatch(x=cases_to_csr(cases, self.coder.d), i=i, j=j, s=labels[i] == labels[j])
+        batch = PairBatch(x=sparse.cases_to_csr(cases, self.coder.d), i=i, j=j,
+                          s=labels[i] == labels[j])
 
         opt = OptimizerState(kind="adam", lr=self.update_lr)
         for _ in range(self.update_epochs):

@@ -153,8 +153,9 @@ def evaluate(index: HashIndex, coder, queries, top_n: int = 10,
     engine = CbrEngine(index, coder, top_n=top_n, max_radius=max_radius,
                        no_update=True)
     by_label: dict[int, set] = {}
-    for cid in index.ids():
-        by_label.setdefault(index.label(cid), set()).add(cid)
+    ids = index.ids()
+    for cid, lab in zip(ids, index.labels(ids).tolist()):
+        by_label.setdefault(lab, set()).add(cid)
 
     y_true, y_pred, score_maps = [], [], []
     relevants, retrieveds = [], []

@@ -1,29 +1,45 @@
 """Hamming-bucket index over binary case codes with exact rerank.
 
-Row k holds the k-th stored case: its id and label as entry k of two int64
+Row k holds one stored case: its id and label as entry k of two int64
 arrays, its code as row k of one packed uint64 (n, ceil(r/64)) array, the
 array a coder's code_rows returns, and row k of the feature snapshot, a CSR
-matrix; only code(id) builds a HashCode. build, load and remove each end in
-_set_rows, the one place that sets these arrays, maps ids to rows and groups
-the buckets. build converts its cases to that matrix once, codes it and
+matrix, beside its squared norm; only code(id) builds a HashCode. The rows
+are kept in code order. build, load, remove and replace_codes each end in
+_set_rows, the one place that sets these arrays: it permutes them, the
+snapshot and its norms included, into the order of a stable sort of the
+codes, so every bucket's rows are one ascending range. An insert appends
+its row at the end, and to its bucket, until the next regroup. An id finds
+its row by binary search in a sorted copy of the id array, beside each
+sorted id's row; save reads its ascending id order from the same pair.
+
+build converts its cases to that matrix once, codes it, permutes it and
 keeps it, so neither save nor the first query converts again. The index
-file stores the matrix's index and value arrays as two blocks, so a loaded
-index reads them straight into its snapshot, checked as one block, and
-builds a SparseCase only when case(id) asks, until its first insert or
-remove builds the case list once. An insert or a remove drops the snapshot,
-and the next read rebuilds it from the case list. The buckets are one table:
-the distinct codes as a (n_buckets, words) uint64 array sorted word by word,
-beside each bucket's ascending int64 array of the rows that share its code.
-An insert finds its bucket by binary search, appending its row there or
-placing a new code at its sorted place; a remove or a recode regroups every
-bucket in bulk. A query gathers candidates one complete Hamming radius level
-at a time (0, then 1, then 2 by default), stopping as soon as enough
-candidates exist: level 0 is a binary search of the table, and only a query
-that needs more counts its distance to every bucket, once, and takes the
-buckets at each distance in turn. Since buckets are disjoint the gathered
-arrays concatenate into the candidate rows with no set or id search. The
-survivors are reranked by Euclidean distance on the original feature vectors
-and the top n kept by (distance, id). linear_scan ranks every stored case
+file stores, in ascending id order, the matrix's index and value arrays as
+two blocks, so a loaded index reads them straight into its snapshot,
+checked as one block, and builds a SparseCase only when case(id) asks,
+until its first insert or remove builds the case list once. The case list
+keeps the order the cases arrived in: build's order, then each insert. One
+int64 array maps each row to its place in the list. An insert or a remove
+drops the snapshot, and the next read converts the list in list order,
+which walks the case objects in the order they were made, then gathers the
+converted rows into code order; converting in code order would walk them
+scattered across memory, at more than twice the cost.
+
+The buckets are one table: the distinct codes as a (n_buckets, words)
+uint64 array sorted word by word, beside each bucket's ascending int64
+array of the rows that share its code. An insert finds its bucket by binary
+search, appending its row there or placing a new code at its sorted place;
+a remove or a recode regroups every row in bulk. A query gathers candidates
+one complete Hamming radius level at a time (0, then 1, then 2 by default),
+stopping as soon as enough candidates exist: level 0 is a binary search of
+the table, and only a query that needs more counts its distance to every
+bucket, once, and takes the buckets at each distance in turn. Since buckets
+are disjoint the gathered arrays concatenate into the candidate rows with
+no set or id search. The survivors are reranked by Euclidean distance on
+the original feature vectors and the top n kept by (distance, id). When the
+candidates are one bucket whose rows are still one range, the rerank reads
+that slice of the snapshot, the norms and the ids in place; any other
+candidate set gathers its rows first. linear_scan ranks every stored case
 with the same distance kernel and serves as the retrieval oracle.
 """
 
@@ -45,20 +61,19 @@ INDEX_MAGIC = b"CHIX"
 INDEX_VERSION = 2
 
 
-def _group(words: np.ndarray) -> tuple[np.ndarray, list[np.ndarray]]:
-    """The buckets of an (n, n_words) code array: its distinct codes as one
-    table sorted by word 0, then word 1 and so on, and each code's rows.
+def _group(words: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The code order of an (n, n_words) code array: the permutation that
+    sorts its rows by word 0, then word 1 and so on, the distinct codes in
+    that order as one table, and where each code's rows start in it.
 
-    One stable sort over the words, so every bucket's rows come out
-    ascending.
+    The sort is stable, so the rows of one code keep their order.
     """
-    if not len(words):
-        return words, []
     order = np.lexsort(words.T[::-1])
+    if not len(order):
+        return order, words, order
     ordered = words[order]
     starts = np.flatnonzero(np.r_[True, (ordered[1:] != ordered[:-1]).any(axis=1)])
-    bounds = [*starts.tolist(), len(order)]
-    return ordered[starts], [order[a:b] for a, b in zip(bounds, bounds[1:])]
+    return order, ordered[starts], starts
 
 
 @dataclass
@@ -81,38 +96,56 @@ class HashIndex:
             raise ValueError("r and dim must be positive")
         self.r = r
         self.dim = dim
-        # row k: _cases[k], _ids[k], _labels[k], its code _words[k] and
-        # snapshot row k; _row maps each id to its row. A loaded index has no
-        # case list (None) until its first insert or remove.
+        # row k: _ids[k], _labels[k], its code _words[k], snapshot row k and
+        # the case _cases[_pos[k]]; _sorted_ids holds the ids ascending and
+        # _sorted_rows each one's row. A loaded index has no case list (None)
+        # until its first insert or remove.
         self._cases: list[SparseCase] | None = []
-        self._ids = np.zeros(0, dtype=np.int64)
-        self._labels = np.zeros(0, dtype=np.int64)
-        self._words = np.zeros((0, (r + 63) // 64), dtype=np.uint64)
-        self._row: dict[int, int] = {}
-        # the distinct codes, sorted, and each one's ascending rows; never empty
-        self._table, self._buckets = _group(self._words)
-        self._snapshot = None  # (csr matrix, row squared norms)
+        empty = np.zeros(0, dtype=np.int64)
+        self._set_rows(empty, empty, np.zeros((0, (r + 63) // 64), dtype=np.uint64), None, empty)
 
     def __len__(self) -> int:
-        return len(self._row)
+        return len(self._ids)
 
     def __contains__(self, case_id: int) -> bool:
-        return case_id in self._row
+        return self._search(case_id)[1]
 
     def case(self, case_id: int) -> SparseCase:
-        row = self._row[case_id]
+        row = self._row(case_id)
         if self._cases is None:
             return self._snapshot_cases(row, row + 1)[0]
-        return self._cases[row]
+        return self._cases[self._pos[row]]
 
     def label(self, case_id: int) -> int:
-        return int(self._labels[self._row[case_id]])
+        return int(self._labels[self._row(case_id)])
+
+    def labels(self, ids) -> np.ndarray:
+        """The labels of the given ids as one int64 array, in their order;
+        KeyError names the first id that is not stored."""
+        ids = np.asarray(ids, dtype=np.int64)
+        at = self._sorted_ids.searchsorted(ids)
+        found = at < len(self)
+        found[found] = self._sorted_ids[at[found]] == ids[found]
+        if not found.all():
+            raise KeyError(int(ids[~found][0]))
+        return self._labels[self._sorted_rows[at]]
 
     def code(self, case_id: int) -> HashCode:
-        return HashCode(r=self.r, words=tuple(self._words[self._row[case_id]].tolist()))
+        return HashCode(r=self.r, words=tuple(self._words[self._row(case_id)].tolist()))
 
     def ids(self) -> list[int]:
-        return sorted(self._row)
+        return self._sorted_ids.tolist()
+
+    def _search(self, case_id: int) -> tuple[int, bool]:
+        """The sorted-id position of an id, and whether that id is stored."""
+        at = int(self._sorted_ids.searchsorted(case_id))
+        return at, bool(at < len(self) and self._sorted_ids[at] == case_id)
+
+    def _row(self, case_id: int) -> int:
+        at, found = self._search(case_id)
+        if not found:
+            raise KeyError(case_id)
+        return int(self._sorted_rows[at])
 
     @property
     def n_buckets(self) -> int:
@@ -129,7 +162,8 @@ class HashIndex:
     @classmethod
     def build(cls, cases, coder) -> "HashIndex":
         """Index a case collection; coder must provide code_rows(x) for the
-        (n, dim) CSR feature matrix. That matrix becomes the snapshot."""
+        (n, dim) CSR feature matrix. That matrix, in code order, becomes the
+        snapshot; the case list keeps the given order."""
         cases = list(cases)
         if not cases:
             raise ValueError("cannot build an index from zero cases")
@@ -138,27 +172,36 @@ class HashIndex:
         idx._cases = cases
         ids = np.fromiter((c.id for c in cases), dtype=np.int64, count=len(cases))
         labels = np.fromiter((c.label for c in cases), dtype=np.int64, count=len(cases))
-        return idx._set_rows(ids, labels, coder.code_rows(x), x)
+        return idx._set_rows(ids, labels, coder.code_rows(x), x, np.arange(len(cases)))
 
     def _set_rows(self, ids: np.ndarray, labels: np.ndarray, words: np.ndarray,
-                  x) -> "HashIndex":
-        """Map each id to its row, a repeated id raising DataFormatError;
-        make row k hold ids[k], labels[k], code words[k] and row k of the CSR
-        matrix x, which becomes the snapshot (None after a write); regroup
-        the buckets."""
-        self._row = dict(zip(ids.tolist(), range(len(ids))))
-        if len(self._row) != len(ids):
-            uniq, counts = np.unique(ids, return_counts=True)
-            raise DataFormatError(f"duplicate case id {uniq[counts > 1][0]}")
-        self._ids, self._labels, self._words = ids, labels, words
-        self._table, self._buckets = _group(self._words)
-        self._snapshot = None if x is None else _snapshot(x)
+                  x, pos: np.ndarray | None) -> "HashIndex":
+        """Regroup: make the rows hold ids, labels, code words, case list
+        places pos (None without a case list) and the rows of the CSR matrix
+        x, permuted into code order; x becomes the snapshot (None after a
+        write). A repeated id raises DataFormatError naming it."""
+        by_id = np.argsort(ids)
+        sorted_ids = ids[by_id]
+        repeated = np.flatnonzero(sorted_ids[1:] == sorted_ids[:-1])
+        if len(repeated):
+            raise DataFormatError(f"duplicate case id {sorted_ids[repeated[0]]}")
+        order, self._table, starts = _group(words)
+        row_of = np.empty_like(order)
+        row_of[order] = np.arange(len(order))
+        self._sorted_ids, self._sorted_rows = sorted_ids, row_of[by_id]
+        self._ids, self._labels, self._words = ids[order], labels[order], words[order]
+        self._pos = None if pos is None else pos[order]
+        rows, bounds = np.arange(len(order)), [*starts.tolist(), len(order)]
+        self._buckets = [rows[a:b] for a, b in zip(bounds, bounds[1:])]
+        self._snapshot = None if x is None else _snapshot(x, order)
         return self
 
     def _own_cases(self) -> list[SparseCase]:
-        """The case list; a loaded index builds it from its snapshot once."""
+        """The case list; a loaded index builds it from its snapshot once,
+        in row order."""
         if self._cases is None:
             self._cases = self._snapshot_cases(0, len(self))
+            self._pos = np.arange(len(self))
         return self._cases
 
     def _snapshot_cases(self, start: int, stop: int) -> list[SparseCase]:
@@ -176,41 +219,50 @@ class HashIndex:
 
     def insert(self, case: SparseCase, code: HashCode) -> None:
         self._check(case, code)
-        if case.id in self._row:
+        at, found = self._search(case.id)
+        if found:
             raise KeyError(f"duplicate case id {case.id}")
         cases = self._own_cases()
-        self._row[case.id] = len(cases)
+        row = len(self)
+        self._sorted_ids = np.insert(self._sorted_ids, at, case.id)
+        self._sorted_rows = np.insert(self._sorted_rows, at, row)
+        self._pos = np.append(self._pos, len(cases))
         cases.append(case)
         self._ids, self._labels = np.append(self._ids, case.id), np.append(self._labels, case.label)
         self._words = np.concatenate((self._words, np.array([code.words], dtype=np.uint64)))
-        row = np.array([len(self) - 1], dtype=np.int64)
+        rows = np.array([row], dtype=np.int64)
         at, found = self._find(code.words)
         if found:
-            self._buckets[at] = np.concatenate((self._buckets[at], row))
+            self._buckets[at] = np.concatenate((self._buckets[at], rows))
         else:
             self._table = np.insert(self._table, at, self._words[-1], axis=0)
-            self._buckets.insert(at, row)
+            self._buckets.insert(at, rows)
         self._snapshot = None
 
     def remove(self, case_id: int) -> SparseCase:
-        if case_id not in self._row:
+        if case_id not in self:
             raise KeyError(f"unknown case id {case_id}")
-        row = self._row[case_id]
-        case = self._own_cases().pop(row)
+        row, cases = self._row(case_id), self._own_cases()
+        place = self._pos[row]
+        case = cases.pop(place)
+        pos = np.delete(self._pos, row)
+        pos[pos > place] -= 1  # later cases move up the list
         self._set_rows(np.delete(self._ids, row), np.delete(self._labels, row),
-                       np.delete(self._words, row, axis=0), None)  # later rows move up
+                       np.delete(self._words, row, axis=0), None, pos)
         return case
 
     def replace_codes(self, coder) -> int:
-        """Recompute every stored code and rebuild the buckets in place;
+        """Recompute every stored code and regroup the rows in place;
         coder must provide code_rows(x) for the (n, dim) CSR feature matrix.
         Returns how many stored codes changed."""
         if coder.r != self.r:
             raise ValueError(f"coder width {coder.r} does not match index width {self.r}")
         # code the snapshot's rows, and keep it: rows and features are unchanged
-        old, self._words = self._words, coder.code_rows(self._matrix()[0])
-        self._table, self._buckets = _group(self._words)
-        return int(np.count_nonzero((old != self._words).any(axis=1)))
+        x = self._matrix()[0]
+        words = coder.code_rows(x)
+        changed = int(np.count_nonzero((words != self._words).any(axis=1)))
+        self._set_rows(self._ids, self._labels, words, x, self._pos)
+        return changed
 
     def _check(self, case: SparseCase, code: HashCode | None = None) -> None:
         """DataFormatError unless the case has the index's dim, ValueError
@@ -254,13 +306,15 @@ class HashIndex:
         return set(self._ids[np.concatenate(parts)].tolist()) if parts else set()
 
     def _matrix(self):
-        """The feature snapshot, rebuilt from the case list after a write."""
+        """The feature snapshot, rebuilt after a write from the case list,
+        converted in list order and gathered into row order."""
         if self._snapshot is None:
-            self._snapshot = _snapshot(cases_to_csr(self._cases, self.dim))
+            self._snapshot = _snapshot(cases_to_csr(self._cases, self.dim), self._pos)
         return self._snapshot
 
-    def _distances_to(self, query: SparseCase, rows: np.ndarray) -> np.ndarray:
-        """Euclidean distance from the query to the given snapshot rows."""
+    def _distances_to(self, query: SparseCase, rows) -> np.ndarray:
+        """Euclidean distance from the query to the given snapshot rows: an
+        array of rows, a slice of them, or None for every row."""
         x, row_sq = self._matrix()
         q = np.zeros(self.dim)
         q[list(query.features.indices)] = query.features.values
@@ -306,8 +360,11 @@ class HashIndex:
                 if n_found >= top_n:
                     break
             radius_used = t if n_found >= top_n else max_radius
-        # buckets are disjoint, so the rows are distinct
+        # buckets are disjoint, so the rows are distinct; one bucket that no
+        # insert has extended since the last regroup is one range of rows
         rows = np.concatenate(parts) if parts else None
+        if len(parts) == 1 and rows[-1] - rows[0] == len(rows) - 1:
+            rows = slice(int(rows[0]), int(rows[-1]) + 1)
         gather_us = (time.perf_counter_ns() - t0) / 1e3
 
         if rows is None:
@@ -339,12 +396,12 @@ class HashIndex:
         uint64 words each, the n labels and the n feature counts, then the
         feature matrix's CSR arrays as two blocks: every case's indices
         (int64), then every case's values (float64)."""
-        order = np.argsort(self._ids)
+        order = self._sorted_rows
         indptr, indices, values = _gather_rows(self._matrix()[0], order)
         with open(str(path), "wb") as fh:
             fh.write(INDEX_MAGIC)
             np.array([INDEX_VERSION, self.r, self.dim, len(order)], dtype="<i8").tofile(fh)
-            self._ids[order].astype("<i8", copy=False).tofile(fh)
+            self._sorted_ids.astype("<i8", copy=False).tofile(fh)
             self._words[order].astype("<u8", copy=False).tofile(fh)
             self._labels[order].astype("<i8", copy=False).tofile(fh)
             np.diff(indptr).astype("<i8", copy=False).tofile(fh)
@@ -355,7 +412,8 @@ class HashIndex:
     def load(cls, path) -> "HashIndex":
         """Read a file written by save(); a short or corrupt file, or one of
         another version, raises DataFormatError. The rows stay in the
-        feature snapshot: no case object is built."""
+        feature snapshot, permuted into code order: no case object is
+        built."""
         with open(str(path), "rb") as fh:
             if fh.read(4) != INDEX_MAGIC:
                 raise DataFormatError("not an index file")
@@ -381,10 +439,11 @@ class HashIndex:
         indptr = np.r_[0, np.cumsum(nnz)]
         _check_features(ids, indptr, indices, values, dim)
 
+        x = sp.csr_matrix((values, indices, indptr), shape=(n, dim))
+        del indices, values  # the matrix holds what it needs of them
         idx = cls(r=r, dim=dim)
         idx._cases = None
-        return idx._set_rows(ids, labels, words,
-                             sp.csr_matrix((values, indices, indptr), shape=(n, dim)))
+        return idx._set_rows(ids, labels, words, x, None)
 
 
 def _truncated(count: int, dtype: str, got: int) -> str:
@@ -428,15 +487,33 @@ def _gather_rows(x, rows: np.ndarray):
     return sub_ip, sub_ix, sub_x
 
 
-def _row_dots(x, rows: np.ndarray, q: np.ndarray) -> np.ndarray:
+def _row_dots(x, rows, q: np.ndarray) -> np.ndarray:
     """x[rows] @ q, bit for bit: the same two scipy kernels, minus the index
     checks and the matrix construction that x[rows] adds per call, which
-    cost about as much as the kernels at a few thousand rows."""
-    sub_ip, sub_ix, sub_x = _gather_rows(x, rows)
-    out = np.zeros(len(rows))
-    csr_matvec(len(rows), x.shape[1], sub_ip, sub_ix, sub_x, q, out)
+    cost about as much as the kernels at a few thousand rows. A slice of
+    rows is read in place, with no gather."""
+    if isinstance(rows, slice):
+        ip, ix, data = x.indptr[rows.start:rows.stop + 1], x.indices, x.data
+    else:
+        ip, ix, data = _gather_rows(x, rows)
+    out = np.zeros(len(ip) - 1)
+    csr_matvec(len(out), x.shape[1], ip, ix, data, q, out)
     return out
 
 
-def _snapshot(x):
-    return x, np.asarray(x.multiply(x).sum(axis=1)).ravel()
+def _row_norms(x) -> np.ndarray:
+    """Each row's squared norm, bit for bit x.multiply(x).sum(axis=1): the
+    same reduceat over the squares that scipy runs, without the copy of x."""
+    sq = np.zeros(x.shape[0])
+    nonempty = np.flatnonzero(np.diff(x.indptr))
+    if len(nonempty):
+        sq[nonempty] = np.add.reduceat(x.data * x.data, x.indptr[nonempty])
+    return sq
+
+
+def _snapshot(x, order: np.ndarray):
+    """The rows of the CSR matrix x in the given order, with their squared
+    norms."""
+    sq = _row_norms(x)[order]
+    indptr, indices, data = _gather_rows(x, order)
+    return sp.csr_matrix((data, indices, indptr), shape=(len(order), x.shape[1])), sq

@@ -26,6 +26,7 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 from scipy.special import expit
 
+from . import sparse
 from .network import (
     DivergenceError,
     Hyperparams,
@@ -36,7 +37,6 @@ from .network import (
     interaction,
     squash_grad_from_output,
 )
-from .sparse import cases_to_csr
 
 
 @dataclass
@@ -361,7 +361,7 @@ def train(
     if epochs == 0:
         return TrainResult(params=params, history=[])
 
-    x = cases_to_csr(train_set, d)
+    x = sparse.cases_to_csr(train_set, d)
     opt = OptimizerState(kind=optimizer, lr=lr)
     val_batch = sample_pairs(x, labels, min(batch_size, len(train_set)),
                              int(val_seed), neg_ratio)

@@ -4,6 +4,7 @@ import pytest
 from casehash import (CbrEngine, HashCode, HashIndex, Hyperparams, LshPlanes,
                       clustered_fixture, init_params)
 import casehash.cbr as cbr_module
+import casehash.sparse as sparse_module
 from casehash.cbr import Suggestion
 from casehash.network import pack_rows
 from casehash.sparse import cases_to_csr
@@ -208,7 +209,7 @@ class TestRetain:
             calls.append(len(cases))
             return cases_to_csr(cases, dim)
 
-        monkeypatch.setattr(cbr_module, "cases_to_csr", counted)
+        monkeypatch.setattr(sparse_module, "cases_to_csr", counted)
         cases = random_cases(rng, 30, dim=8, nnz=3)
         hyper = Hyperparams(k_w=4, k_v=4, r=8, l=2, hidden=4, n_u=4)
         params = init_params(hyper, d=8, seed=1)

@@ -98,6 +98,32 @@ class TestIndexMutation:
         with pytest.raises(KeyError):
             idx.insert(cases[0], planes.code(cases[0]))
 
+    def test_absent_ids(self):
+        cases = [make_case(10, [(k, 1.0)], case_id=cid) for k, cid in enumerate((10, 20, 30))]
+        idx = HashIndex.build(cases, LshPlanes.sample(8, 10, seed=3))
+        # below, between and above the stored ids
+        for absent in (-5, 0, 15, 25, 31, 2 ** 62):
+            assert absent not in idx
+            for read in (idx.case, idx.label, idx.code, idx.remove):
+                with pytest.raises(KeyError):
+                    read(absent)
+            with pytest.raises(KeyError, match=str(absent)):
+                idx.labels([20, absent, 10])
+        assert [cid in idx for cid in (10, 20, 30)] == [True] * 3
+        assert len(idx) == 3
+        empty = HashIndex(r=8, dim=10)
+        assert 10 not in empty and empty.labels([]).tolist() == []
+        with pytest.raises(KeyError):
+            empty.labels([10])
+
+    def test_labels_follow_the_given_ids(self, rng):
+        idx, cases, _ = small_index(rng)
+        ids = [c.id for c in cases][::-3] + [cases[0].id]
+        got = idx.labels(ids)
+        assert got.dtype == np.int64
+        assert got.tolist() == [idx.label(cid) for cid in ids] == [
+            next(c.label for c in cases if c.id == cid) for cid in ids]
+
     def test_dim_mismatch_rejected(self, rng):
         idx, _, planes = small_index(rng)
         bad = make_case(99, [(0, 1.0)], case_id=1000)
@@ -115,6 +141,8 @@ class TestIndexMutation:
                  make_case(10, [(2, 3.0)], case_id=4)]
         with pytest.raises(DataFormatError, match="duplicate case id 4"):
             HashIndex.build(cases, LshPlanes.sample(8, 10, seed=3))
+        with pytest.raises(DataFormatError, match="duplicate case id 3"):
+            HashIndex.build(cases + cases[1:2], LshPlanes.sample(8, 10, seed=3))
 
     @pytest.mark.parametrize("r", [7, 9, 70])
     def test_read_code_width_rejected(self, rng, r):
@@ -551,3 +579,89 @@ class TestRowDots:
         q = rng.normal(size=12)
         for rows in (np.arange(41), rng.permutation(41)[:17], np.array([40, 3, 3, 0])):
             assert np.array_equal(index_module._row_dots(x, rows, q), x[rows] @ q)
+
+    def test_slice_equals_gather_bit_for_bit(self, rng):
+        cases = random_cases(rng, 40, dim=12, nnz=5) + [make_case(12, [], case_id=40)]
+        x = cases_to_csr(cases, 12)
+        q = rng.normal(size=12)
+        for a, b in ((0, 41), (3, 17), (40, 41), (39, 41), (5, 5)):
+            in_place = index_module._row_dots(x, slice(a, b), q)
+            assert in_place.tobytes() == index_module._row_dots(x, np.arange(a, b), q).tobytes()
+            assert in_place.tobytes() == (x[a:b] @ q).tobytes()
+
+    def test_row_norms_equal_scipy_bit_for_bit(self, rng):
+        # empty rows first, between and last, values over 300 decades, and a
+        # row whose every square underflows to zero
+        rows = [[]] + [[(int(c), float(v * 10.0 ** e)) for c, v, e in
+                        zip(rng.choice(30, size=6, replace=False), rng.normal(size=6),
+                            rng.integers(-170, 150, size=6))] for _ in range(20)]
+        rows += [[], [(0, 1e-200), (7, -3e-190)], [(1, 1e-170), (2, 2.5)], []]
+        x = cases_to_csr([make_case(30, sorted(r), case_id=k) for k, r in enumerate(rows)], 30)
+        assert (x.data * x.data == 0).any()
+        want = np.asarray(x.multiply(x).sum(axis=1)).ravel()
+        assert index_module._row_norms(x).tobytes() == want.tobytes()
+        assert index_module._row_norms(x[:0]).shape == (0,)
+
+
+class TestCodeOrder:
+    def test_rows_follow_the_bucket_table(self, rng):
+        cases = random_cases(rng, 60, dim=10, nnz=4)
+        idx = HashIndex.build(cases[::-1], LshPlanes.sample(4, 10, seed=3))
+        assert [row for bucket in idx._buckets for row in bucket.tolist()] == list(range(60))
+        assert idx._ids.tolist() != sorted(idx._ids.tolist())
+        x, row_sq = idx._matrix()
+        want = cases_to_csr([idx.case(cid) for cid in idx._ids.tolist()], 10)
+        assert (x != want).nnz == 0
+        assert row_sq.tobytes() == np.asarray(want.multiply(want).sum(axis=1)).ravel().tobytes()
+
+    def test_one_bucket_reranks_in_place(self, rng, monkeypatch):
+        idx, cases, planes = small_index(rng, n=60, r=4)
+        gathered = []
+        real = index_module._gather_rows
+        monkeypatch.setattr(index_module, "_gather_rows",
+                            lambda x, rows: gathered.append(len(rows)) or real(x, rows))
+        # a case of the first bucket: inserting beside it breaks its range
+        first = idx._buckets[0]
+        q = idx.case(int(idx._ids[first[0]]))
+        code = planes.code(q)
+        before = idx.retrieve(q, code, top_n=1, max_radius=0)
+        assert before.n_candidates == len(first) and gathered == []
+        ids, dists = idx._ids[first], idx._distances_to(q, first)
+        assert idx._distances_to(q, slice(first[0], first[-1] + 1)).tobytes() == dists.tobytes()
+
+        extra = make_case(10, [(9, 40.0)], case_id=1000)
+        idx.insert(extra, code)
+        idx._matrix()  # the rebuild gathers the converted rows into row order
+        gathered.clear()
+        after = idx.retrieve(q, code, top_n=len(first) + 1, max_radius=0)
+        assert gathered == [len(first) + 1]
+        order = np.lexsort((ids, dists))
+        assert after.ids == ids[order].tolist() + [1000]
+        assert after.distances[:-1].tobytes() == dists[order].tobytes()
+
+    def test_rebuild_converts_in_arrival_order(self, rng, monkeypatch, tmp_path):
+        cases = random_cases(rng, 30, dim=10, nnz=4)
+        cases = [cases[k] for k in rng.permutation(30)]
+        planes = LshPlanes.sample(8, 10, seed=3)
+        idx = HashIndex.build(cases, planes)
+        idx.save(tmp_path / "built.idx")
+        converted = []
+        real = index_module.cases_to_csr
+        monkeypatch.setattr(index_module, "cases_to_csr",
+                            lambda cases, dim: converted.append([c.id for c in cases])
+                            or real(cases, dim))
+        extra = [make_case(10, [(2, 0.5)], case_id=100), make_case(10, [(3, 0.5)], case_id=50)]
+        for case in extra:
+            idx.insert(case, planes.code(case))
+        idx.retrieve(cases[0], planes.code(cases[0]), top_n=3)
+        assert converted == [[c.id for c in cases + extra]]
+        idx.remove(cases[4].id)
+        idx.retrieve(cases[0], planes.code(cases[0]), top_n=3)
+        assert converted[-1] == [c.id for c in cases + extra if c.id != cases[4].id]
+
+        # a loaded index lists its cases in its row order, then the inserts
+        back = HashIndex.load(tmp_path / "built.idx")
+        rows = back._ids.tolist()
+        back.insert(extra[0], planes.code(extra[0]))
+        back.linear_scan(cases[0], top_n=3)
+        assert converted[-1] == rows + [100]

@@ -106,8 +106,19 @@ def fresh_index(r, stored):
     if not stored:
         return HashIndex(r=r, dim=DIM)
     cases = [case for case, _ in stored.values()]
-    return HashIndex.build(cases, TableCoder(r, {cid: code for cid, (_, code) in stored.items()},
-                                             cases))
+    idx = HashIndex.build(cases, TableCoder(r, {cid: code for cid, (_, code) in stored.items()},
+                                            cases))
+    check_code_order(idx)
+    return idx
+
+
+def check_code_order(idx):
+    """A regrouped index holds its rows in code order: its buckets, taken in
+    table order, are consecutive ascending ranges that cover every row, and
+    each range's rows hold that bucket's code."""
+    assert [row for bucket in idx._buckets for row in bucket.tolist()] == list(range(len(idx)))
+    for code, bucket in zip(idx._table, idx._buckets):
+        assert (idx._words[bucket] == code).all()
 
 
 def run_operations(r, initial, ops):
@@ -121,8 +132,7 @@ def run_operations(r, initial, ops):
 
 
 def apply_operations(r, idx, stored, ops):
-    """Apply ops to idx and to stored, its dict model in row order; return
-    the model."""
+    """Apply ops to idx and to stored, its dict model; return the model."""
     for op in ops:
         if op[0] == "insert":
             _, cid, feats, spec = op
@@ -138,15 +148,17 @@ def apply_operations(r, idx, stored, ops):
                 continue
             cid = sorted(stored)[op[1] % len(stored)]
             assert idx.remove(cid) == stored.pop(cid)[0]
+            check_code_order(idx)
         else:
             specs = op[1]
             new = {cid: make_code(r, specs[k % len(specs)])
                    for k, cid in enumerate(sorted(stored))}
-            # stored keeps insertion order, which is the index's row order
-            rows = [case for case, _ in stored.values()]
+            # the index codes its snapshot in its own row order
+            rows = [stored[cid][0] for cid in idx._ids.tolist()]
             changed = idx.replace_codes(TableCoder(r, new, rows))
             assert changed == sum(new[cid] != code for cid, (_, code) in stored.items())
             stored = {cid: (case, new[cid]) for cid, (case, _) in stored.items()}
+            check_code_order(idx)
     return stored
 
 
@@ -216,14 +228,14 @@ def test_save_load_save_is_byte_identical(r):
                                              ("saved", "loaded", "written", "built"))
             idx.save(saved)
             back = HashIndex.load(saved)
+            check_code_order(back)
             back.save(loaded)
             assert saved.read_bytes() == loaded.read_bytes()
             assert back.n_buckets == idx.n_buckets
             check_stats(back)
             check_against_oracle(r, back, stored, qs)
 
-            # a loaded index holds its rows in ascending id order
-            stored = apply_operations(r, back, dict(sorted(stored.items())), more)
+            stored = apply_operations(r, back, stored, more)
             check_stats(back)
             check_against_oracle(r, back, stored, qs)
             back.save(written)

@@ -13,7 +13,7 @@ from casehash import (
     sample_pairs,
     train,
 )
-from casehash import training as training_module
+from casehash import sparse as sparse_module
 from casehash.sparse import cases_to_csr
 from casehash.training import _forward_distinct, adaptive_objective_and_grad
 
@@ -287,7 +287,7 @@ class TestTrain:
             calls.append(len(cases))
             return cases_to_csr(cases, dim)
 
-        monkeypatch.setattr(training_module, "cases_to_csr", counted)
+        monkeypatch.setattr(sparse_module, "cases_to_csr", counted)
         cases = self._data(rng)
         hyper = Hyperparams(k_w=4, k_v=4, r=8, l=2, hidden=6)
         res = train(cases, hyper, epochs=3, seed=5, batch_size=16)
