@@ -47,7 +47,6 @@ from .sparse import (
 )
 from .synthetic import clustered_fixture, two_class_fixture
 from .training import (
-    Gradients,
     OptimizerState,
     PairBatch,
     TrainResult,
@@ -61,7 +60,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "BenchResult", "CbrEngine", "DataFormatError", "DatasetSchema",
-    "DivergenceError", "Gradients", "HashCode", "HashIndex", "Hyperparams",
+    "DivergenceError", "HashCode", "HashIndex", "Hyperparams",
     "LshPlanes", "MetricReport", "NetworkParams", "OptimizerState",
     "PairBatch", "RetrievalResult", "SolveRecord", "SparseCase",
     "SparseVector", "Suggestion", "TrainResult", "UpdateStats", "accuracy",

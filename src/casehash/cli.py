@@ -218,6 +218,8 @@ def _coder(args, cfg: RunConfig, cases, seed=None):
 
 def cmd_train(args, cfg: RunConfig) -> int:
     cases, schema = load_dataset(args)
+    if len(cases) < 2:
+        raise DataFormatError(f"{args.data}: one case, and training needs 2")
     cases = _normalized(schema, cases, cases)
     result = _train(cases, cfg, args.seed)  # saved and reported even if diverged
     out = args.out or "model.chn"
@@ -248,6 +250,9 @@ def cmd_eval(args, cfg: RunConfig) -> int:
     else:
         if args.folds > len(cases):
             raise ConfigError(f"--folds {args.folds} exceeds the {len(cases)} cases")
+        if len(cases) - -(-len(cases) // args.folds) < 2:  # the largest fold held out
+            raise ConfigError(f"--folds {args.folds} leaves one of the {len(cases)} cases "
+                              "to train on, and training needs 2")
         splits = kfold(cases, args.folds, args.seed)
 
     with _open_out(args) as out:
@@ -379,6 +384,9 @@ def cmd_bench(args, cfg: RunConfig) -> int:
     cases, schema = load_dataset(args)
     if args.queries >= len(cases):
         raise ConfigError("--queries must be smaller than the dataset")
+    if len(cases) - args.queries < 2 and args.hash != "lsh" and not args.model:
+        raise ConfigError(f"--queries {args.queries} leaves one base case to train on, "
+                          "and training needs 2")
     base, queries = cases[:-args.queries], cases[-args.queries:]
     base, queries = _normalized(schema, base, base, queries)
 

@@ -116,9 +116,6 @@ class HashIndex:
             return self._snapshot_cases(row, row + 1)[0]
         return self._cases[self._pos[row]]
 
-    def label(self, case_id: int) -> int:
-        return int(self._labels[self._row(case_id)])
-
     def labels(self, ids) -> np.ndarray:
         """The labels of the given ids as one int64 array, in their order;
         KeyError names the first id that is not stored."""
@@ -314,14 +311,11 @@ class HashIndex:
 
     def _distances_to(self, query: SparseCase, rows) -> np.ndarray:
         """Euclidean distance from the query to the given snapshot rows: an
-        array of rows, a slice of them, or None for every row."""
+        array of rows or a slice of them."""
         x, row_sq = self._matrix()
         q = np.zeros(self.dim)
         q[list(query.features.indices)] = query.features.values
-        if rows is None:
-            sq = row_sq - 2.0 * (x @ q) + q @ q
-        else:
-            sq = row_sq[rows] - 2.0 * _row_dots(x, rows, q) + q @ q
+        sq = row_sq[rows] - 2.0 * _row_dots(x, rows, q) + q @ q
         return np.sqrt(np.maximum(sq, 0.0))
 
     @staticmethod
@@ -383,7 +377,7 @@ class HashIndex:
         """Exact top_n over every stored case; the oracle retrieve is judged by."""
         self._check(query)
         t0 = time.perf_counter_ns()
-        dists = self._distances_to(query, None)
+        dists = self._distances_to(query, slice(0, len(self)))
         ranked_ids, ranked_d = self._rank(self._ids, dists, top_n)
         rerank_us = (time.perf_counter_ns() - t0) / 1e3
         return RetrievalResult(ids=ranked_ids, distances=ranked_d,
@@ -453,8 +447,8 @@ def _truncated(count: int, dtype: str, got: int) -> str:
 
 def _check_features(ids, indptr, indices, values, dim: int) -> None:
     """DataFormatError unless, in every row of the CSR arrays, the indices
-    lie in [0, dim) and strictly ascend and no value is zero; the error
-    names the case of the first bad entry."""
+    lie in [0, dim) and strictly ascend and every value is finite and
+    nonzero; the error names the case of the first bad entry."""
     def fail(entry: int, what: str):
         row = int(np.searchsorted(indptr, entry, side="right")) - 1
         raise DataFormatError(f"corrupt index file: case {ids[row]}: {what}")
@@ -472,6 +466,9 @@ def _check_features(ids, indptr, indices, values, dim: int) -> None:
     bad = np.flatnonzero(values == 0.0)
     if len(bad):
         fail(bad[0], "stored values must be nonzero")
+    bad = np.flatnonzero(~np.isfinite(values))
+    if len(bad):
+        fail(bad[0], f"value {values[bad[0]]} is not finite")
 
 
 def _gather_rows(x, rows: np.ndarray):

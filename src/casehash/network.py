@@ -13,9 +13,12 @@ case with d_n active features.
 There is one head: interaction() turns the running sums S1 and S2 into z,
 and fc_stack() runs the FC layers, yielding each layer's (pre-activation,
 output) so training can keep them for its backward pass while coding keeps
-only the last (relaxed_output). Only the step that makes S1 and S2 differs:
-a block of cases takes it from a CSR matrix (block_sums), a single case
-gathers its active columns (case_sums). Codes are packed by one
+only the last (relaxed_output). A layer's place sets its activation: every
+FC layer rectifies except the last, which squashes, so an FcLayer holds
+only its weights and bias, and NetworkParams is the one layout of the
+parameters, which training's gradients share. Only the step that makes S1
+and S2 differs: a block of cases takes it from a CSR matrix (block_sums), a
+single case gathers its active columns (case_sums). Codes are packed by one
 np.packbits body (pack_rows) into a uint64 (n, ceil(r/64)) array, the form
 code_rows returns and the index stores, and unpacked by unpack_words.
 
@@ -112,7 +115,6 @@ class Hyperparams:
 class FcLayer:
     w: np.ndarray  # (out, in)
     b: np.ndarray  # (out,)
-    activation: str  # "relu" | "squash"
 
 
 @dataclass
@@ -122,6 +124,8 @@ class NetworkParams:
     w_p columns are per-feature-slot embedding vectors (one extra column for
     the constant slot when first_order is set); v mixes embedding rows into
     views; layers map the k_v interaction output down to r squashed units.
+    A gradient has this layout too: training returns it as a NetworkParams
+    whose arrays are the derivatives of the parameters' arrays.
     """
 
     d: int                 # case feature dimension (before constant augmentation)
@@ -143,7 +147,7 @@ class NetworkParams:
             d=self.d,
             w_p=self.w_p.copy(),
             v=self.v.copy(),
-            layers=[FcLayer(l.w.copy(), l.b.copy(), l.activation) for l in self.layers],
+            layers=[FcLayer(l.w.copy(), l.b.copy()) for l in self.layers],
             hyper=self.hyper,
         )
 
@@ -264,15 +268,15 @@ def fc_stack(z: np.ndarray, params: NetworkParams):
     """Yield each FC layer's (pre-activation, output) in turn, from the
     interaction output z.
 
-    Hidden layers use a rectifier; the last layer uses the squashing
-    activation, so its output lies componentwise in (-1, 1). Raises
-    DivergenceError after the last layer if its output is not finite.
+    Every layer but the last uses a rectifier; the last squashes, so its
+    output lies componentwise in (-1, 1). Raises DivergenceError after the
+    last layer if its output is not finite.
     """
-    h = z
-    for layer in params.layers:
+    h, last = z, len(params.layers) - 1
+    for k, layer in enumerate(params.layers):
         pre = h @ layer.w.T
         pre += layer.b
-        h = relu(pre) if layer.activation == "relu" else squash(pre)
+        h = squash(pre) if k == last else relu(pre)
         yield pre, h
     if not np.all(np.isfinite(h)):
         raise DivergenceError("non-finite network output")
@@ -388,9 +392,7 @@ def init_params(hyper: Hyperparams, d: int, seed: int) -> NetworkParams:
         fan_in = sizes[i]
         bound = 1.0 / np.sqrt(fan_in)
         w = rng.uniform(-bound, bound, size=(sizes[i + 1], fan_in))
-        b = np.zeros(sizes[i + 1])
-        activation = "squash" if i == hyper.l - 1 else "relu"
-        layers.append(FcLayer(w=w, b=b, activation=activation))
+        layers.append(FcLayer(w=w, b=np.zeros(sizes[i + 1])))
     return NetworkParams(d=d, w_p=w_p, v=v, layers=layers, hyper=hyper)
 
 
@@ -462,7 +464,5 @@ def load_checkpoint(path, hyper: Hyperparams | None = None) -> NetworkParams:
         for i in range(l):
             n_in, n_out = sizes[i], sizes[i + 1]
             w = read_block(fh, "<f8", n_out * n_in, truncated).reshape(n_out, n_in)
-            b = read_block(fh, "<f8", n_out, truncated)
-            layers.append(FcLayer(w=w, b=b,
-                                  activation="squash" if i == l - 1 else "relu"))
+            layers.append(FcLayer(w=w, b=read_block(fh, "<f8", n_out, truncated)))
     return NetworkParams(d=d, w_p=w_p, v=v, layers=layers, hyper=hyper)

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import csv
 import json
+import math
 from dataclasses import asdict, dataclass, field, replace
 from itertools import chain
 
@@ -130,19 +131,20 @@ def _parse_label(token: str, path: str, lineno: int) -> int:
         value = float(token)
     except ValueError:
         raise DataFormatError(f"{path}:{lineno}: bad label {token!r}") from None
-    if value != int(value):
+    if not math.isfinite(value) or value != int(value):
         raise DataFormatError(f"{path}:{lineno}: non-integer label {token!r}")
     return int(value)
 
 
 def _label_key(token: str):
-    """CSV label cell: an integer when it reads as one, else a category string."""
+    """CSV label cell: an integer when it reads as a finite one, else a
+    category string."""
     token = token.strip()
     try:
         value = float(token)
     except ValueError:
         return token
-    return int(value) if value == int(value) else token
+    return int(value) if math.isfinite(value) and value == int(value) else token
 
 
 def _canonical_label_values(tokens) -> tuple:
@@ -165,8 +167,9 @@ def _row_label(token: str, label_values):
 def load_sparse_text(path, dim: int | None = None) -> list[SparseCase]:
     """Load `label idx:val ...` lines into cases.
 
-    Indices are zero-based and must be strictly ascending within a line.
-    Blank lines and `#` comments are skipped. The feature dimension is
+    Indices are zero-based and must be strictly ascending within a line;
+    a label must be a finite integer and a value finite. Blank lines and
+    `#` comments are skipped. The feature dimension is
     1 + max index seen unless an explicit dim is given. Labels are remapped
     to dense integers 0..|L|-1 in ascending original order.
     """
@@ -191,6 +194,8 @@ def load_sparse_text(path, dim: int | None = None) -> list[SparseCase]:
                     raise DataFormatError(
                         f"{path}:{lineno}: malformed entry {tok!r}"
                     ) from None
+                if not math.isfinite(val):
+                    raise DataFormatError(f"{path}:{lineno}: non-finite value {tok!r}")
                 if idx <= prev:
                     raise DataFormatError(
                         f"{path}:{lineno}: non-ascending or duplicate index {idx}"
@@ -246,6 +251,9 @@ def _encode_row(schema: DatasetSchema, row: dict[str, str], where: str):
                 raise DataFormatError(
                     f"{where}: non-numeric value {raw!r} in column {col.name!r}"
                 ) from None
+            if not math.isfinite(value):
+                raise DataFormatError(
+                    f"{where}: non-finite value {raw!r} in column {col.name!r}")
             pairs.append((col.offset, value))
         else:
             # Unseen categories produce an all-zero group.
@@ -261,17 +269,30 @@ def load_csv(path, schema_spec: dict[str, str], schema: DatasetSchema | None = N
     """Load a headered CSV into sparse cases plus the fitted schema.
 
     schema_spec maps each header column to numeric / categorical / label
-    (exactly one label column). When an already-fitted schema is passed, its
-    vocabularies are reused and unseen categories encode to all-zero groups.
+    (exactly one label column). Every row must have the header's field count
+    and every numeric cell must be finite. When an already-fitted schema is
+    passed, its vocabularies are reused and unseen categories encode to
+    all-zero groups.
     Returns (cases, schema); numeric min/max are left unset until fit_ranges.
     """
     path = str(path)
     with open(path, "r", encoding="utf-8", newline="") as fh:
         reader = csv.DictReader(fh)
-        if reader.fieldnames is None:
-            raise DataFormatError(f"{path}: empty file")
-        header = [h.strip() for h in reader.fieldnames]
-        rows = [{k.strip(): v for k, v in row.items()} for row in reader]
+        try:
+            if reader.fieldnames is None:
+                raise DataFormatError(f"{path}: empty file")
+            header = [h.strip() for h in reader.fieldnames]
+            rows = []
+            # DictReader files a missing field as None and extra ones under None
+            for i, row in enumerate(reader):
+                if None in row or None in row.values():
+                    more = "more" if None in row else "fewer"
+                    raise DataFormatError(
+                        f"{path}: row {i + 2}: {more} fields than the {len(header)} "
+                        "of the header")
+                rows.append({k.strip(): v for k, v in row.items()})
+        except csv.Error as exc:
+            raise DataFormatError(f"{path}: {exc}") from None
 
     label_cols = [c for c, kind in schema_spec.items() if kind == "label"]
     if len(label_cols) != 1:

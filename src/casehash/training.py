@@ -10,10 +10,11 @@ rows of one CSR feature matrix, which train converts from its case list
 once. A batch's distinct rows, sliced out as one block, run through
 network.py's head (block_sums, interaction, fc_stack), keeping each FC
 layer's (pre, out), and the gradients are closed-form matrix products over
-that block (validated against central finite differences). A hinge-gated
-variant of the loss (adaptive_objective_and_grad) drives the retention-time
-model update: pairs whose code similarity already clears the margin r*beta
-contribute nothing.
+that block (validated against central finite differences), returned as a
+NetworkParams with the parameters' shapes, so the optimizer zips the two
+arrays() streams. A hinge-gated variant of the loss
+(adaptive_objective_and_grad) drives the retention-time model update: pairs
+whose code similarity already clears the margin r*beta contribute nothing.
 """
 
 from __future__ import annotations
@@ -29,6 +30,7 @@ from scipy.special import expit
 from . import sparse
 from .network import (
     DivergenceError,
+    FcLayer,
     Hyperparams,
     NetworkParams,
     block_sums,
@@ -80,23 +82,9 @@ class PairBatch:
         return len(self) - self.n_positive
 
 
-@dataclass
-class Gradients:
-    """Parameter-shaped gradient container (same layout as NetworkParams)."""
-
-    w_p: np.ndarray
-    v: np.ndarray
-    layers: list  # [(dw, db), ...]
-
-    def arrays(self):
-        yield "w_p", self.w_p
-        yield "v", self.v
-        for i, (dw, db) in enumerate(self.layers, start=1):
-            yield f"w{i}", dw
-            yield f"b{i}", db
-
-    def is_finite(self) -> bool:
-        return all(np.all(np.isfinite(a)) for _, a in self.arrays())
+def _all_finite(params: NetworkParams) -> bool:
+    """Whether every array of params (or of a gradient) is finite."""
+    return all(np.all(np.isfinite(a)) for _, a in params.arrays())
 
 
 def _adaptive_loss_and_dshat(s, s_hat, alpha, beta, r):
@@ -157,9 +145,9 @@ def batch_objective(batch: PairBatch, params: NetworkParams) -> float:
     return float(losses.sum() - hyper.lambda_ * np.square(z).sum())
 
 
-def _backward(params: NetworkParams, trace, deltas: np.ndarray) -> Gradients:
+def _backward(params: NetworkParams, trace, deltas: np.ndarray) -> NetworkParams:
     """Push dL/dz_out (one row per case) back through FC layers, views and
-    embeddings, summed over the block.
+    embeddings, summed over the block, into a gradient laid out as params.
 
     With G = (dL/dz) v^T, a case's active feature j with value x_j gets
     dL/dw_p[:, j] = g * x_j * (s1 - x_j w_p[:, j]); summed over the block that
@@ -168,28 +156,24 @@ def _backward(params: NetworkParams, trace, deltas: np.ndarray) -> Gradients:
     """
     x, x_sq, s1, s2, z_in, fc = trace
     d_out = deltas
-    layers = []
+    layers, last = [], len(params.layers) - 1
     for li in reversed(range(len(params.layers))):
-        layer = params.layers[li]
         pre, out = fc[li]
-        if layer.activation == "squash":
+        if li == last:
             d_pre = d_out * squash_grad_from_output(out)
         else:
             d_pre = d_out * (pre > 0.0)
         h_in = fc[li - 1][1] if li > 0 else z_in
-        layers.append((d_pre.T @ h_in, d_pre.sum(axis=0)))
-        d_out = d_pre @ layer.w
+        layers.append(FcLayer(w=d_pre.T @ h_in, b=d_pre.sum(axis=0)))
+        d_out = d_pre @ params.layers[li].w
     # d_out is now dL/dz, one row per case
     g = d_out @ params.v.T
     gs1, d = g * s1, params.d
     w_p = (x.T @ gs1).T - params.w_p[:, :d] * (x_sq.T @ g).T
     if params.hyper.first_order:
         w_p = np.column_stack((w_p, gs1.sum(axis=0) - params.w_p[:, d] * g.sum(axis=0)))
-    return Gradients(
-        w_p=w_p,
-        v=0.5 * ((np.square(s1) - s2).T @ d_out),
-        layers=layers[::-1],
-    )
+    return NetworkParams(d=d, w_p=w_p, v=0.5 * ((np.square(s1) - s2).T @ d_out),
+                         layers=layers[::-1], hyper=params.hyper)
 
 
 def _objective_and_grad(batch: PairBatch, params: NetworkParams):
@@ -203,10 +187,10 @@ def _objective_and_grad(batch: PairBatch, params: NetworkParams):
     return value, _backward(params, trace, deltas)
 
 
-def grad(batch: PairBatch, params: NetworkParams) -> Gradients:
+def grad(batch: PairBatch, params: NetworkParams) -> NetworkParams:
     """Exact analytic gradient of batch_objective for every parameter."""
     _, gradients = _objective_and_grad(batch, params)
-    if not gradients.is_finite():
+    if not _all_finite(gradients):
         raise DivergenceError("non-finite gradient")
     return gradients
 
@@ -284,7 +268,7 @@ class OptimizerState:
     m: dict = field(default_factory=dict)
     v: dict = field(default_factory=dict)
 
-    def apply(self, params: NetworkParams, grads: Gradients) -> None:
+    def apply(self, params: NetworkParams, grads: NetworkParams) -> None:
         """One in-place minimization step."""
         self.step += 1
         for (name, arr), (_, g) in zip(params.arrays(), grads.arrays()):
@@ -381,7 +365,7 @@ def train(
                 batch = sample_pairs(x, labels, min(batch_size, len(train_set)),
                                      step_seed, neg_ratio)
                 value, gradients = _objective_and_grad(batch, params)
-                if not np.isfinite(value) or not gradients.is_finite():
+                if not np.isfinite(value) or not _all_finite(gradients):
                     raise DivergenceError("objective diverged")
                 opt.apply(params, gradients)
                 totals += (value, batch.n_positive, batch.n_negative)

@@ -4,7 +4,7 @@ from itertools import combinations
 import numpy as np
 import pytest
 
-from casehash import (Gradients, Hyperparams, SparseCase, SparseVector, batch_objective,
+from casehash import (Hyperparams, NetworkParams, SparseCase, SparseVector, batch_objective,
                       init_params)
 from casehash.network import (HashCode, case_sums, forward_rows, interaction, relaxed_output,
                               unpack_words)
@@ -146,15 +146,15 @@ def adaptive_loss(s: float, s_hat: float, alpha: float, beta: float, r: int) -> 
     return max(0.0, margin + s_hat) * float(np.logaddexp(0.0, alpha * s_hat))
 
 
-def zero_gradients(params) -> Gradients:
-    return Gradients(
-        w_p=np.zeros_like(params.w_p),
-        v=np.zeros_like(params.v),
-        layers=[(np.zeros_like(l.w), np.zeros_like(l.b)) for l in params.layers],
-    )
+def zero_gradients(params) -> NetworkParams:
+    """A gradient of params' layout with every entry zero."""
+    out = params.copy()
+    for _, arr in out.arrays():
+        arr[...] = 0.0
+    return out
 
 
-def finite_diff_grad(batch, params, eps: float = 1e-5) -> Gradients:
+def finite_diff_grad(batch, params, eps: float = 1e-5) -> NetworkParams:
     """Central differences of casehash's batch_objective, one scalar
     parameter at a time: the oracle for the analytic gradient."""
     if eps <= 0:

@@ -569,6 +569,110 @@ class TestExitCodes:
         assert message in err and "Traceback" not in err
         assert stdout == ""
 
+    @pytest.mark.parametrize("text", [
+        "0 0:1\nnan 1:1\n", "0 0:1\ninf 1:1\n", "0 0:1\n1e400 1:1\n",
+        "0 0:1\n1 1:1 3:nan\n", "0 0:1\n1 1:1 3:inf\n", "0 0:1\n1 1:1 3:1e400\n",
+    ], ids=["label-nan", "label-inf", "label-1e400", "value-nan", "value-inf",
+            "value-1e400"])
+    @pytest.mark.parametrize("command", [["train"], ["index", "--hash", "lsh"]])
+    def test_non_finite_sparse_text_exits_3(self, tmp_path, config_file, capsys, text,
+                                            command):
+        p = tmp_path / "bad.txt"
+        p.write_text(text)
+        code, stdout, err = run(capsys, *command, "--data", str(p), "--config", config_file,
+                                "--out", str(tmp_path / "out"))
+        assert code == 3
+        assert f"error: {p}:2: non-" in err and "Traceback" not in err
+        assert stdout == ""
+
+    @pytest.mark.parametrize("cell", ["nan", "inf", "1e400"])
+    @pytest.mark.parametrize("command", [["train"], ["index", "--hash", "lsh"]])
+    def test_non_finite_csv_number_exits_3(self, tmp_path, config_file, capsys, cell,
+                                           command):
+        p, schema = tmp_path / "d.csv", tmp_path / "d.schema"
+        p.write_text(f"a,y\n1,0\n{cell},1\n")
+        schema.write_text("a=numeric\ny=label\n")
+        code, _, err = run(capsys, *command, "--data", str(p), "--schema", str(schema),
+                           "--config", config_file, "--out", str(tmp_path / "out"))
+        assert code == 3
+        assert f"error: {p}: row 3: non-finite value '{cell}'" in err
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("cell", ["nan", "inf"])
+    def test_non_finite_csv_label_is_a_category(self, tmp_path, config_file, capsys, cell):
+        p, schema = tmp_path / "d.csv", tmp_path / "d.schema"
+        p.write_text("a,y\n" + "".join(f"{k},{(0, cell)[k % 2]}\n" for k in range(1, 9)))
+        schema.write_text("a=numeric\ny=label\n")
+        code, stdout, err = run(capsys, "train", "--data", str(p), "--schema", str(schema),
+                                "--config", config_file, "--out", str(tmp_path / "m.chn"))
+        assert code == 0, err
+        assert json.loads(stdout)["n_cases"] == 8
+
+    @pytest.mark.parametrize("row", ["1", "1,0,7"], ids=["fewer", "more"])
+    def test_ragged_csv_row_exits_3(self, tmp_path, capsys, row):
+        p, schema = tmp_path / "d.csv", tmp_path / "d.schema"
+        p.write_text(f"a,y\n1,0\n{row}\n2,1\n")
+        schema.write_text("a=numeric\ny=label\n")
+        code, _, err = run(capsys, "index", "--hash", "lsh", "--data", str(p),
+                           "--schema", str(schema), "--out", str(tmp_path / "c.idx"))
+        assert code == 3
+        assert f"error: {p}: row 3: " in err and "fields" in err
+        assert "Traceback" not in err
+
+    def test_query_on_an_index_holding_nan_exits_3(self, tmp_path, data_file, capsys):
+        idx_path = tmp_path / "c.idx"
+        code, _, _ = run(capsys, "index", "--data", data_file, "--hash", "lsh", "--bits", "8",
+                         "--out", str(idx_path))
+        assert code == 0
+        data = bytearray(idx_path.read_bytes())
+        data[-8:] = np.array([np.nan], dtype="<f8").tobytes()  # the last value
+        idx_path.write_bytes(bytes(data))
+        code, stdout, err = run(capsys, "query", "--index", str(idx_path), "--data", data_file,
+                                "--hash", "lsh", "--bits", "8")
+        assert code == 3
+        assert "error: corrupt index file: case 79: value nan is not finite" in err
+        assert stdout == ""
+
+    def test_train_on_one_case_exits_3(self, tmp_path, config_file, capsys):
+        p = tmp_path / "one.txt"
+        p.write_text("0 0:1 2:1\n")
+        code, stdout, err = run(capsys, "train", "--data", str(p), "--config", config_file,
+                                "--out", str(tmp_path / "m.chn"))
+        assert code == 3
+        assert "error:" in err and "training needs 2" in err and "Traceback" not in err
+        assert stdout == "" and not (tmp_path / "m.chn").exists()
+
+    @pytest.mark.parametrize("n, argv", [
+        (2, ["eval", "--folds", "2"]),
+        (3, ["eval", "--folds", "2"]),
+        (5, ["bench", "--queries", "4"]),
+    ], ids=["eval-two-cases", "eval-three-cases", "bench"])
+    def test_one_training_case_exits_2(self, tmp_path, config_file, capsys, monkeypatch,
+                                       n, argv):
+        import casehash.cli as cli
+
+        def no_work(*args, **kw):
+            raise AssertionError("work started before the split was checked")
+
+        monkeypatch.setattr(cli, "train", no_work)
+        monkeypatch.setattr(cli.HashIndex, "build", no_work)
+        p = tmp_path / "few.txt"
+        write_sparse_text(two_class_fixture(n=n, seed=1), p)
+        code, stdout, err = run(capsys, *argv, "--data", str(p), "--config", config_file)
+        assert code == 2
+        assert "error:" in err and "training needs 2" in err and "Traceback" not in err
+        assert stdout == ""
+
+    @pytest.mark.parametrize("argv", [
+        ["bench", "--queries", "4", "--hash", "lsh"],
+        ["eval", "--hash", "lsh", "--train-frac", "0.3"],
+    ], ids=["bench-lsh", "eval-lsh"])
+    def test_lsh_needs_no_second_case(self, tmp_path, capsys, argv):
+        p = tmp_path / "few.txt"
+        write_sparse_text(two_class_fixture(n=5, seed=1), p)
+        code, _, err = run(capsys, *argv, "--data", str(p), "--bits", "8")
+        assert code == 0, err
+
     def test_missing_data_flag(self, capsys):
         code, _, err = run(capsys, "train")
         assert code == 2

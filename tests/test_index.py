@@ -104,7 +104,7 @@ class TestIndexMutation:
         # below, between and above the stored ids
         for absent in (-5, 0, 15, 25, 31, 2 ** 62):
             assert absent not in idx
-            for read in (idx.case, idx.label, idx.code, idx.remove):
+            for read in (idx.case, idx.code, idx.remove):
                 with pytest.raises(KeyError):
                     read(absent)
             with pytest.raises(KeyError, match=str(absent)):
@@ -121,7 +121,7 @@ class TestIndexMutation:
         ids = [c.id for c in cases][::-3] + [cases[0].id]
         got = idx.labels(ids)
         assert got.dtype == np.int64
-        assert got.tolist() == [idx.label(cid) for cid in ids] == [
+        assert got.tolist() == [idx.labels([cid])[0] for cid in ids] == [
             next(c.label for c in cases if c.id == cid) for cid in ids]
 
     def test_dim_mismatch_rejected(self, rng):
@@ -418,7 +418,7 @@ class TestPersistence:
         assert len(gc.get_objects()) - before < 100
         for case in cases:
             assert back.case(case.id) == case
-            assert back.label(case.id) == case.label
+            assert back.labels([case.id])[0] == case.label
 
     def test_bad_magic(self, tmp_path):
         p = tmp_path / "x.idx"
@@ -493,6 +493,8 @@ class TestLoadChecks:
         ("idx0", -1, "<i8", "ascending|out of range"),
         ("idx1", 0, "<i8", "ascending"),
         ("val0", 0.0, "<f8", "nonzero"),
+        ("val0", np.nan, "<f8", "case 0: value nan is not finite"),
+        ("val0", -np.inf, "<f8", "case 0: value -inf is not finite"),
         ("id1", 0, "<i8", "duplicate"),
         ("word0", 1 << 9, "<u8", "high bits"),
         ("nnz0", -1, "<i8", "negative count"),
@@ -525,12 +527,13 @@ class TestLoadChecks:
         back = HashIndex.load(path)
         for k, pairs in enumerate(rows):
             assert back.case(10 + k) == make_case(4, pairs, label=k % 2, case_id=10 + k)
-            assert back.label(10 + k) == k % 2
+            assert back.labels([10 + k])[0] == k % 2
         back.save(tmp_path / "again.idx")
         assert (tmp_path / "again.idx").read_bytes() == path.read_bytes()
 
     @pytest.mark.parametrize("entry, value, dtype, match", [
         (1, 0.0, "<f8", "nonzero"),  # the last value of the file
+        (1, np.nan, "<f8", "case 13: value nan is not finite"),
         (0, 4, "<i8", "out of range"),  # the last index of the file
         (0, 1, "<i8", "ascending"),  # equals the index before it in its row
     ])

@@ -180,7 +180,7 @@ def check_against_oracle(r, idx, stored, qs):
     assert idx.ids() == sorted(stored)
     for cid, (case, code) in stored.items():
         assert idx.case(cid) == case
-        assert idx.label(cid) == case.label
+        assert idx.labels([cid])[0] == case.label
         assert idx.code(cid) == code
     for k, (feats, spec, top_n, max_radius) in enumerate(qs):
         query, q_code = make_case(1000 + k, feats), make_code(r, spec)

@@ -31,6 +31,7 @@ from casehash.network import (
     FcLayer,
     NetworkParams,
     case_sums,
+    fc_stack,
     inner_product,
     pack_rows,
     squash,
@@ -447,8 +448,13 @@ class TestInit:
         sizes = [(7, 5), (8, 7)]  # k_v -> hidden -> r
         assert [layer.w.shape for layer in p.layers] == sizes
         assert all(np.all(layer.b == 0) for layer in p.layers)
-        assert p.layers[-1].activation == "squash"
-        assert all(layer.activation == "relu" for layer in p.layers[:-1])
+
+    def test_last_layer_squashes_and_the_others_rectify(self, rng):
+        p = init_params(Hyperparams(k_w=6, k_v=5, r=8, l=3, hidden=7), d=12, seed=0)
+        *hidden, (pre, out) = fc_stack(rng.normal(size=(4, 5)), p)
+        assert len(hidden) == 2
+        assert all(np.array_equal(h, np.maximum(z, 0.0)) for z, h in hidden)
+        assert np.array_equal(out, -np.tanh(pre / 2.0))
 
     def test_embedding_scale(self, small_hyper):
         p = init_params(small_hyper, d=12, seed=0)

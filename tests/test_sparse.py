@@ -76,6 +76,20 @@ class TestSparseText:
         with pytest.raises(DataFormatError, match=r":2: malformed"):
             load_sparse_text(p)
 
+    @pytest.mark.parametrize("label", ["nan", "inf", "-inf", "1e400"])
+    def test_non_finite_label_rejected(self, tmp_path, label):
+        p = tmp_path / "d.txt"
+        p.write_text(f"0 0:1\n{label} 1:1\n")
+        with pytest.raises(DataFormatError, match=f":2: non-integer label '{label}'"):
+            load_sparse_text(p)
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf", "1e400"])
+    def test_non_finite_value_rejected(self, tmp_path, value):
+        p = tmp_path / "d.txt"
+        p.write_text(f"0 0:1\n1 1:1 3:{value}\n")
+        with pytest.raises(DataFormatError, match=f":2: non-finite value '3:{value}'"):
+            load_sparse_text(p)
+
     def test_dim_override_and_violation(self, tmp_path):
         p = tmp_path / "d.txt"
         p.write_text("0 5:1\n")
@@ -124,6 +138,34 @@ class TestCsv:
         p = tmp_path / "d.csv"
         p.write_text("a,y\nfoo,0\n")
         with pytest.raises(DataFormatError):
+            load_csv(p, {"a": "numeric", "y": "label"})
+
+    @pytest.mark.parametrize("cell", ["nan", "inf", "-inf", "1e400"])
+    def test_non_finite_numeric_cell_rejected(self, tmp_path, cell):
+        p = tmp_path / "d.csv"
+        p.write_text(f"a,y\n1,0\n{cell},1\n")
+        with pytest.raises(DataFormatError, match=f"row 3: non-finite value '{cell}' in column 'a'"):
+            load_csv(p, {"a": "numeric", "y": "label"})
+
+    @pytest.mark.parametrize("cell", ["nan", "inf", "1e400"])
+    def test_non_finite_label_cell_is_a_category(self, tmp_path, cell):
+        p = tmp_path / "d.csv"
+        p.write_text(f"a,y\n1,0\n2,{cell}\n3,1\n")
+        cases, schema = load_csv(p, {"a": "numeric", "y": "label"})
+        assert schema.label_values == tuple(sorted(("0", "1", cell)))
+        assert [schema.label_values[c.label] for c in cases] == ["0", cell, "1"]
+
+    @pytest.mark.parametrize("row, more", [("1", "fewer"), ("1,0,", "more"), ("1,0,7,8", "more")])
+    def test_ragged_row_names_the_row(self, tmp_path, row, more):
+        p = tmp_path / "d.csv"
+        p.write_text(f"a,y\n1,0\n{row}\n2,1\n")
+        with pytest.raises(DataFormatError, match=f"row 3: {more} fields than the 2 of the header"):
+            load_csv(p, {"a": "numeric", "y": "label"})
+
+    def test_csv_reader_error_is_a_format_error(self, tmp_path):
+        p = tmp_path / "d.csv"
+        p.write_text("a,y\n1," + "9" * 200_000 + "\n")  # past the csv module's field limit
+        with pytest.raises(DataFormatError, match="field larger than field limit"):
             load_csv(p, {"a": "numeric", "y": "label"})
 
     def test_string_labels_map_densely(self, tmp_path):

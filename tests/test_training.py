@@ -3,8 +3,8 @@ import pytest
 
 from casehash import (
     DivergenceError,
-    Gradients,
     Hyperparams,
+    NetworkParams,
     OptimizerState,
     PairBatch,
     batch_objective,
@@ -30,7 +30,7 @@ from conftest import (
 )
 
 
-def rel_err(g: Gradients, fd: Gradients) -> float:
+def rel_err(g: NetworkParams, fd: NetworkParams) -> float:
     worst = 0.0
     for (_, a), (_, b) in zip(g.arrays(), fd.arrays()):
         scale = max(float(np.abs(b).max(initial=0.0)), 1e-12)
