@@ -16,8 +16,12 @@ build converts its cases to that matrix once, codes it, permutes it and
 keeps it, so neither save nor the first query converts again. The index
 file stores, in ascending id order, the matrix's index and value arrays as
 two blocks, so a loaded index reads them straight into its snapshot,
-checked as one block, and builds a SparseCase only when case(id) asks,
-until its first insert or remove builds the case list once. The case list
+checked as one block. case(id) always reads its row of the snapshot and
+builds that one SparseCase with sparse.rows_to_cases.
+
+The case list exists only to rebuild the snapshot after a write: only
+that rebuild, insert and remove touch it. A loaded index has none until
+its first insert or remove builds it once from the snapshot. The list
 keeps the order the cases arrived in: build's order, then each insert. One
 int64 array maps each row to its place in the list. An insert or a remove
 drops the snapshot, and the next read converts the list in list order,
@@ -55,7 +59,7 @@ from scipy import sparse as sp
 from scipy.sparse._sparsetools import csr_matvec, csr_row_index
 
 from .network import HashCode, read_block, unpack_words
-from .sparse import DataFormatError, SparseCase, SparseVector, cases_to_csr
+from .sparse import DataFormatError, SparseCase, cases_to_csr, rows_to_cases
 
 INDEX_MAGIC = b"CHIX"
 INDEX_VERSION = 2
@@ -112,9 +116,7 @@ class HashIndex:
 
     def case(self, case_id: int) -> SparseCase:
         row = self._row(case_id)
-        if self._cases is None:
-            return self._snapshot_cases(row, row + 1)[0]
-        return self._cases[self._pos[row]]
+        return rows_to_cases(self._matrix()[0], row, row + 1, self._ids, self._labels)[0]
 
     def labels(self, ids) -> np.ndarray:
         """The labels of the given ids as one int64 array, in their order;
@@ -197,22 +199,9 @@ class HashIndex:
         """The case list; a loaded index builds it from its snapshot once,
         in row order."""
         if self._cases is None:
-            self._cases = self._snapshot_cases(0, len(self))
+            self._cases = rows_to_cases(self._matrix()[0], 0, len(self), self._ids, self._labels)
             self._pos = np.arange(len(self))
         return self._cases
-
-    def _snapshot_cases(self, start: int, stop: int) -> list[SparseCase]:
-        """The cases of snapshot rows start to stop - 1."""
-        x, _ = self._snapshot
-        bounds = x.indptr[start:stop + 1].tolist()
-        lo = bounds[0]
-        ind, val = x.indices[lo:bounds[-1]].tolist(), x.data[lo:bounds[-1]].tolist()
-        return [SparseCase(id=cid,
-                           features=SparseVector(dim=self.dim, indices=tuple(ind[a - lo:b - lo]),
-                                                 values=tuple(val[a - lo:b - lo])),
-                           label=label)
-                for cid, a, b, label in zip(self._ids[start:stop].tolist(), bounds, bounds[1:],
-                                            self._labels[start:stop].tolist())]
 
     def insert(self, case: SparseCase, code: HashCode) -> None:
         self._check(case, code)

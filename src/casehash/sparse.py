@@ -4,7 +4,10 @@ A case is a sparse feature vector plus a class-like solution label. Two text
 formats are supported: a svmlight-style sparse format (`label idx:val ...`)
 and CSV with a sidecar schema mapping each column to numeric / categorical /
 label. Categorical columns are expanded to one-hot groups; numeric columns are
-min-max scaled from training-split statistics.
+min-max scaled from training-split statistics: fit_ranges and normalize work
+on the cases' one CSR feature matrix. cases_to_csr stacks cases into such a
+matrix and rows_to_cases turns a range of its rows back into cases; it is
+the one place that builds cases from CSR rows.
 
 Loaded datasets are immutable value objects and safe for concurrent reads.
 """
@@ -14,7 +17,7 @@ from __future__ import annotations
 import csv
 import json
 import math
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass, field
 from itertools import chain
 
 import numpy as np
@@ -109,10 +112,6 @@ class DatasetSchema:
 
     def feature_columns(self) -> list[ColumnSpec]:
         return [c for c in self.columns if c.kind != "label"]
-
-    def numeric_index_ranges(self) -> dict[int, ColumnSpec]:
-        """Feature index -> owning numeric column."""
-        return {c.offset: c for c in self.columns if c.kind == "numeric"}
 
     def to_json(self) -> str:
         return json.dumps(asdict(self), indent=2)
@@ -282,15 +281,17 @@ def load_csv(path, schema_spec: dict[str, str], schema: DatasetSchema | None = N
             if reader.fieldnames is None:
                 raise DataFormatError(f"{path}: empty file")
             header = [h.strip() for h in reader.fieldnames]
-            rows = []
-            # DictReader files a missing field as None and extra ones under None
-            for i, row in enumerate(reader):
+            # each row with the file line it ends on; DictReader skips blank
+            # lines, files a missing field as None and extra ones under None
+            rows, lines = [], []
+            for row in reader:
                 if None in row or None in row.values():
                     more = "more" if None in row else "fewer"
                     raise DataFormatError(
-                        f"{path}: row {i + 2}: {more} fields than the {len(header)} "
-                        "of the header")
+                        f"{path}: row {reader.line_num}: {more} fields than the "
+                        f"{len(header)} of the header")
                 rows.append({k.strip(): v for k, v in row.items()})
+                lines.append(reader.line_num)
         except csv.Error as exc:
             raise DataFormatError(f"{path}: {exc}") from None
 
@@ -328,11 +329,11 @@ def load_csv(path, schema_spec: dict[str, str], schema: DatasetSchema | None = N
 
     label_index = {lab: k for k, lab in enumerate(schema.label_values)}
     cases = []
-    for i, row in enumerate(rows):
+    for i, (row, line) in enumerate(zip(rows, lines)):
         raw_label = _row_label(row[label_col], schema.label_values)
         if raw_label not in label_index:
-            raise DataFormatError(f"{path}: row {i + 2}: unknown label {raw_label!r}")
-        pairs = _encode_row(schema, row, where=f"{path}: row {i + 2}")
+            raise DataFormatError(f"{path}: row {line}: unknown label {raw_label!r}")
+        pairs = _encode_row(schema, row, where=f"{path}: row {line}")
         cases.append(SparseCase(
             id=i,
             features=SparseVector.from_pairs(schema.dim, pairs),
@@ -342,23 +343,17 @@ def load_csv(path, schema_spec: dict[str, str], schema: DatasetSchema | None = N
 
 
 def fit_ranges(schema: DatasetSchema, cases) -> DatasetSchema:
-    """Fit numeric min/max from the given (training) cases, in place."""
-    numeric = {c.offset: c for c in schema.columns if c.kind == "numeric"}
-    lo = {off: np.inf for off in numeric}
-    hi = {off: -np.inf for off in numeric}
-    for case in cases:
-        seen = set()
-        for idx, val in zip(case.features.indices, case.features.values):
-            if idx in numeric:
-                lo[idx] = min(lo[idx], val)
-                hi[idx] = max(hi[idx], val)
-                seen.add(idx)
-        for off in numeric.keys() - seen:  # implicit zeros count toward the range
-            lo[off] = min(lo[off], 0.0)
-            hi[off] = max(hi[off], 0.0)
-    for off, col in numeric.items():
-        col.vmin = float(lo[off]) if np.isfinite(lo[off]) else 0.0
-        col.vmax = float(hi[off]) if np.isfinite(hi[off]) else 0.0
+    """Fit numeric min/max from the given (training) cases, in place: each
+    numeric column's extremes over the cases' feature matrix, implicit zeros
+    included. With no cases both ends read 0.0."""
+    numeric = [c for c in schema.columns if c.kind == "numeric"]
+    cases = list(cases)
+    lo = hi = [0.0] * len(numeric)
+    if cases and numeric:
+        x = cases_to_csr(cases, cases[0].features.dim)[:, [c.offset for c in numeric]]
+        lo, hi = (m.toarray().ravel().tolist() for m in (x.min(axis=0), x.max(axis=0)))
+    for col, a, b in zip(numeric, lo, hi):
+        col.vmin, col.vmax = a, b
     return schema
 
 
@@ -366,23 +361,31 @@ def normalize(cases, schema: DatasetSchema):
     """Min-max scale numeric features to [0,1] using fitted training ranges.
 
     Values are clamped at transform time; constant columns map to 0; one-hot
-    values pass through unchanged. Idempotent once ranges are [0,1].
+    values pass through unchanged. Idempotent once ranges are [0,1]. The
+    cases are scaled as one feature matrix at their own width.
     """
-    numeric = schema.numeric_index_ranges()
-    for col in numeric.values():
+    numeric = [c for c in schema.columns if c.kind == "numeric"]
+    for col in numeric:
         if col.vmin is None or col.vmax is None:
             raise ValueError(f"column {col.name!r} has no fitted range; call fit_ranges")
-    out = []
-    for case in cases:
-        pairs = []
-        for idx, val in zip(case.features.indices, case.features.values):
-            col = numeric.get(idx)
-            if col is not None:
-                span = col.vmax - col.vmin
-                val = 0.0 if span == 0.0 else min(max((val - col.vmin) / span, 0.0), 1.0)
-            pairs.append((idx, val))
-        out.append(replace(case, features=SparseVector.from_pairs(case.features.dim, pairs)))
-    return out
+    cases = list(cases)
+    if not cases:
+        return []
+    x = cases_to_csr(cases, cases[0].features.dim)
+    # each stored entry's numeric column, -1 for a one-hot entry
+    column = np.full(x.shape[1], -1)
+    column[[c.offset for c in numeric]] = np.arange(len(numeric))
+    scaled = column[x.indices] >= 0
+    at = column[x.indices[scaled]]
+    lo = np.array([c.vmin for c in numeric])[at]
+    span = np.array([c.vmax for c in numeric])[at] - lo
+    with np.errstate(divide="ignore", invalid="ignore"):
+        x.data[scaled] = np.where(span == 0.0, 0.0,
+                                  np.clip((x.data[scaled] - lo) / span, 0.0, 1.0))
+    x.eliminate_zeros()
+    ids = np.fromiter((c.id for c in cases), dtype=np.int64, count=len(cases))
+    labels = np.fromiter((c.label for c in cases), dtype=np.int64, count=len(cases))
+    return rows_to_cases(x, 0, len(cases), ids, labels)
 
 
 def cases_to_csr(cases, dim: int):
@@ -405,6 +408,21 @@ def cases_to_csr(cases, dim: int):
     vals = np.fromiter(chain.from_iterable(c.features.values for c in cases),
                        dtype=np.float64, count=total)
     return sp.csr_matrix((vals, cols, indptr), shape=(n, dim))
+
+
+def rows_to_cases(x, start: int, stop: int, ids, labels) -> list[SparseCase]:
+    """The cases of rows start to stop - 1 of the CSR matrix x, the inverse
+    of cases_to_csr: row k takes its id and label from entry k of the int64
+    arrays ids and labels. Reads x's indptr, indices and data in place."""
+    bounds = x.indptr[start:stop + 1].tolist()
+    lo, hi = bounds[0], bounds[-1]
+    ind, val = x.indices[lo:hi].tolist(), x.data[lo:hi].tolist()
+    return [SparseCase(id=cid,
+                       features=SparseVector(dim=x.shape[1], indices=tuple(ind[a - lo:b - lo]),
+                                             values=tuple(val[a - lo:b - lo])),
+                       label=label)
+            for cid, a, b, label in zip(ids[start:stop].tolist(), bounds, bounds[1:],
+                                        labels[start:stop].tolist())]
 
 
 def split(cases, train_fraction: float, seed: int):

@@ -2,16 +2,19 @@
 
 two_class_fixture builds a mixed-type dataset: a few informative one-hot
 groups whose active block is tied to the class, plus dense numeric noise in
-[0, 1]. clustered_fixture builds a large pure one-hot dataset with one
-preferred category per (class, group) for latency benchmarking. Both are
-fully determined by their seed.
+[0, 1]; it fills one feature matrix with numpy and turns its rows into cases
+with rows_to_cases. clustered_fixture builds a large pure one-hot dataset
+with one preferred category per (class, group) for latency benchmarking,
+straight from its index arrays, which at 100k cases is faster than going
+through a CSR matrix. Both are fully determined by their seed.
 """
 
 from __future__ import annotations
 
 import numpy as np
+from scipy import sparse as sp
 
-from .sparse import SparseCase, SparseVector
+from .sparse import SparseCase, SparseVector, rows_to_cases
 
 
 def two_class_fixture(n: int = 2000, n_groups: int = 5, n_categories: int = 4,
@@ -39,24 +42,12 @@ def two_class_fixture(n: int = 2000, n_groups: int = 5, n_categories: int = 4,
     within = rng.integers(0, half, size=(n, n_groups))
     noise = rng.random((n, n_noise))
 
-    cases = []
-    for row in range(n):
-        y = int(labels[row])
-        pairs = []
-        for g in range(n_groups):
-            block = (y + block_rotation) % 2
-            if flips[row, g]:
-                block = 1 - block
-            cat = block * half + int(within[row, g])
-            pairs.append((g * n_categories + cat, 1.0))
-        base = n_groups * n_categories
-        pairs.extend((base + j, float(noise[row, j])) for j in range(n_noise))
-        cases.append(SparseCase(
-            id=id_start + row,
-            features=SparseVector.from_pairs(dim, pairs),
-            label=y,
-        ))
-    return cases
+    # a flip moves a group's draw to the other block
+    block = (labels[:, None] + block_rotation + flips) % 2
+    x = np.zeros((n, dim))
+    x[np.arange(n)[:, None], np.arange(n_groups) * n_categories + block * half + within] = 1.0
+    x[:, n_groups * n_categories:] = noise
+    return rows_to_cases(sp.csr_matrix(x), 0, n, np.arange(id_start, id_start + n), labels)
 
 
 def clustered_fixture(n: int = 100_000, n_groups: int = 20, n_categories: int = 10,

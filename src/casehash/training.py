@@ -214,10 +214,10 @@ def sample_pairs(x, labels, batch_size: int, seed: int, neg_ratio: float = 1.0) 
     about len(positives) * neg_ratio negatives. Single-label (or
     single-class-pair) draws are returned unbalanced with the flag set.
     """
-    if batch_size < 2:
-        raise ValueError("batch_size must be >= 2")
     if len(labels) < 2:
         raise ValueError("need at least 2 cases to form pairs")
+    if batch_size < 2:
+        raise ValueError("batch_size must be >= 2")
     rng = np.random.default_rng(seed)
 
     by_label = np.argsort(labels, kind="stable")

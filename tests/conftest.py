@@ -41,6 +41,73 @@ def rows_and_labels(cases):
     return cases_to_csr(cases, cases[0].features.dim), labels
 
 
+def reference_fit_ranges(schema, cases):
+    """Numeric min/max case by case, implicit zeros counted: the oracle for
+    fit_ranges. Fits the schema in place and returns it."""
+    numeric = {c.offset: c for c in schema.columns if c.kind == "numeric"}
+    lo = {off: np.inf for off in numeric}
+    hi = {off: -np.inf for off in numeric}
+    for case in cases:
+        seen = set()
+        for idx, val in zip(case.features.indices, case.features.values):
+            if idx in numeric:
+                lo[idx] = min(lo[idx], val)
+                hi[idx] = max(hi[idx], val)
+                seen.add(idx)
+        for off in numeric.keys() - seen:
+            lo[off] = min(lo[off], 0.0)
+            hi[off] = max(hi[off], 0.0)
+    for off, col in numeric.items():
+        col.vmin = float(lo[off]) if np.isfinite(lo[off]) else 0.0
+        col.vmax = float(hi[off]) if np.isfinite(hi[off]) else 0.0
+    return schema
+
+
+def reference_normalize(cases, schema):
+    """Min-max scaling entry by entry, clamped, a constant column to 0: the
+    oracle for normalize."""
+    numeric = {c.offset: c for c in schema.columns if c.kind == "numeric"}
+    out = []
+    for case in cases:
+        pairs = []
+        for idx, val in zip(case.features.indices, case.features.values):
+            col = numeric.get(idx)
+            if col is not None:
+                span = col.vmax - col.vmin
+                val = 0.0 if span == 0.0 else min(max((val - col.vmin) / span, 0.0), 1.0)
+            pairs.append((idx, val))
+        out.append(replace(case, features=SparseVector.from_pairs(case.features.dim, pairs)))
+    return out
+
+
+def reference_two_class_fixture(n=2000, n_groups=5, n_categories=4, n_noise=20, flip=0.1,
+                                seed=0, block_rotation=0, id_start=0):
+    """two_class_fixture row by row and group by group, from the same random
+    draws: the oracle for the vectorised fixture."""
+    rng = np.random.default_rng(seed)
+    half = n_categories // 2
+    dim = n_groups * n_categories + n_noise
+    labels = np.repeat([0, 1], [n - n // 2, n // 2])
+    labels = labels[rng.permutation(n)]
+    flips = rng.random((n, n_groups)) < flip
+    within = rng.integers(0, half, size=(n, n_groups))
+    noise = rng.random((n, n_noise))
+    cases = []
+    for row in range(n):
+        y = int(labels[row])
+        pairs = []
+        for g in range(n_groups):
+            block = (y + block_rotation) % 2
+            if flips[row, g]:
+                block = 1 - block
+            pairs.append((g * n_categories + block * half + int(within[row, g]), 1.0))
+        base = n_groups * n_categories
+        pairs.extend((base + j, float(noise[row, j])) for j in range(n_noise))
+        cases.append(SparseCase(id=id_start + row,
+                                features=SparseVector.from_pairs(dim, pairs), label=y))
+    return cases
+
+
 def to_dense(vector) -> np.ndarray:
     """The dense float vector of a SparseVector."""
     out = np.zeros(vector.dim)

@@ -93,6 +93,43 @@ class TestIndexMutation:
         assert idx.case(5) == cases[5]
         assert idx.code(5) == planes.code(cases[5])
 
+    def test_case_reads_every_stored_row(self, rng, tmp_path):
+        idx, cases, planes = small_index(rng)
+        stored = {c.id: c for c in cases}
+
+        def check(index):
+            assert index.ids() == sorted(stored)
+            assert all(index.case(cid) == case for cid, case in stored.items())
+
+        for case in random_cases(rng, 4, dim=10, nnz=3, id_start=100) + [
+                make_case(10, [], case_id=-1)]:
+            idx.insert(case, planes.code(case))
+            stored[case.id] = case
+        check(idx)
+        assert idx.remove(7) == stored.pop(7)
+        check(idx)
+        idx.save(tmp_path / "cases.idx")
+        back = HashIndex.load(tmp_path / "cases.idx")
+        check(back)
+        extra = make_case(10, [(1, -2.0), (9, 0.5)], case_id=50)
+        back.insert(extra, planes.code(extra))
+        stored[extra.id] = extra
+        assert back.remove(100) == stored.pop(100)
+        check(back)
+
+    def test_case_after_insert_converts_once(self, rng, monkeypatch):
+        idx, cases, planes = small_index(rng)
+        extra = make_case(10, [(2, 0.5)], case_id=30)
+        idx.insert(extra, planes.code(extra))  # drops the feature snapshot
+        calls = []
+        real = index_module.cases_to_csr
+        monkeypatch.setattr(index_module, "cases_to_csr",
+                            lambda *args, **kw: calls.append(args) or real(*args, **kw))
+        assert idx.case(30) == extra and idx.case(4) == cases[4]
+        assert len(calls) == 1
+        assert idx.retrieve(cases[0], planes.code(cases[0]), top_n=3).ids
+        assert len(calls) == 1  # the snapshot case() rebuilt serves the query
+
     def test_duplicate_id_rejected(self, rng):
         idx, cases, planes = small_index(rng)
         with pytest.raises(KeyError):

@@ -21,10 +21,10 @@ from conftest import make_case, rows_and_labels
 def reference_sample_pairs(labels, batch_size, seed, neg_ratio=1.0):
     """Round-robin label draw and double loop over pairs, given one label per
     row; returns (i, j, s, unbalanced)."""
-    if batch_size < 2:
-        raise ValueError("batch_size must be >= 2")
     if len(labels) < 2:
         raise ValueError("need at least 2 cases to form pairs")
+    if batch_size < 2:
+        raise ValueError("batch_size must be >= 2")
     rng = np.random.default_rng(seed)
 
     by_label = {}

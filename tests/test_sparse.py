@@ -162,6 +162,29 @@ class TestCsv:
         with pytest.raises(DataFormatError, match=f"row 3: {more} fields than the 2 of the header"):
             load_csv(p, {"a": "numeric", "y": "label"})
 
+    # DictReader skips blank lines, so an error names the file line, not
+    # the count of rows read
+    def test_bad_cell_after_blank_lines_names_its_line(self, tmp_path):
+        p = tmp_path / "d.csv"
+        p.write_text("a,y\n\n\n1,0\nfoo,1\n")
+        with pytest.raises(DataFormatError, match="row 5: non-numeric value 'foo' in column 'a'"):
+            load_csv(p, {"a": "numeric", "y": "label"})
+
+    def test_ragged_row_after_a_blank_line_names_its_line(self, tmp_path):
+        p = tmp_path / "d.csv"
+        p.write_text("a,y\n1,0\n\n1,0,7\n")
+        with pytest.raises(DataFormatError, match="row 4: more fields than the 2 of the header"):
+            load_csv(p, {"a": "numeric", "y": "label"})
+
+    def test_unknown_label_after_a_blank_line_names_its_line(self, tmp_path):
+        p = tmp_path / "d.csv"
+        p.write_text("a,y\n1,0\n2,1\n")
+        _, schema = load_csv(p, {"a": "numeric", "y": "label"})
+        p2 = tmp_path / "q.csv"
+        p2.write_text("a,y\n1,0\n\n5,7\n")
+        with pytest.raises(DataFormatError, match="row 4: unknown label 7"):
+            load_csv(p2, {"a": "numeric", "y": "label"}, schema=schema)
+
     def test_csv_reader_error_is_a_format_error(self, tmp_path):
         p = tmp_path / "d.csv"
         p.write_text("a,y\n1," + "9" * 200_000 + "\n")  # past the csv module's field limit

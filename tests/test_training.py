@@ -12,6 +12,7 @@ from casehash import (
     init_params,
     sample_pairs,
     train,
+    two_class_fixture,
 )
 from casehash import sparse as sparse_module
 from casehash.sparse import cases_to_csr
@@ -300,6 +301,19 @@ class TestTrain:
         res = train(cases, hyper, epochs=0, seed=5)
         assert res.history == []
         assert not res.stopped_early and not res.diverged
+
+    def test_one_case_names_the_case_count(self):
+        one = two_class_fixture(n=1, seed=1)
+        hyper = Hyperparams(r=8)
+        with pytest.warns(UserWarning, match="fewer than 2 labels"):
+            with pytest.raises(ValueError, match="need at least 2 cases to form pairs"):
+                train(one, hyper, epochs=1)
+        with pytest.warns(UserWarning):
+            res = train(one, hyper, epochs=0, seed=5)
+        init = train(two_class_fixture(n=10, seed=1), hyper, epochs=0, seed=5).params
+        assert res.history == []
+        assert all(np.array_equal(a, b) for (_, a), (_, b) in zip(res.params.arrays(),
+                                                                  init.arrays()))
 
     def test_objective_decreases(self, rng):
         cases = self._data(rng, n=60)
