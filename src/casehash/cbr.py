@@ -2,14 +2,15 @@
 
 solve() runs the full cycle for one query: retrieve nearest stored cases,
 reuse their labels by weighted majority vote, revise against the true label
-when it is revealed, and retain the solved case. Retained cases accumulate
-in a buffer; every update_interval retentions the hash network is refreshed
-on buffer x buffer and buffer x reservoir pairs under the hinge-gated
-retention loss, after which every stored code is recomputed and the buckets
-rebuilt. A retention round whose loss is exactly zero leaves the parameters
-and codes bitwise unchanged. Each update's loss, pair count, steps, recode
-time and code churn are kept as UpdateStats on the engine and on the
-SolveRecord of the solve that triggered it.
+when it is revealed, and retain the solved case. The ids of retained cases
+accumulate in a buffer; every update_interval retentions the hash network is
+refreshed on buffer x buffer and buffer x reservoir pairs, rows the index
+gathers in one call, under the hinge-gated retention loss, after which every
+stored code is recomputed and the buckets rebuilt. A retention round whose
+loss is exactly zero leaves the parameters and codes bitwise unchanged; one
+that diverges puts the parameters back. Each update's loss, pair count,
+steps, recode time and code churn are kept as UpdateStats on the engine and
+on the SolveRecord of the solve that triggered it.
 """
 
 from __future__ import annotations
@@ -19,11 +20,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import sparse
 from .index import HashIndex, RetrievalResult
-from .network import HashCode, NetworkParams
+from .network import DivergenceError, HashCode, NetworkParams
 from .sparse import SparseCase
-from .training import OptimizerState, PairBatch, adaptive_objective_and_grad
+from .training import OptimizerState, PairBatch, adaptive_objective_and_grad, all_finite
 
 VOTE_TIEBREAK = 1e-9
 
@@ -86,6 +86,8 @@ class CbrEngine:
                  update_lr: float = 1e-3, no_update: bool = False, seed: int = 0):
         if top_n < 1:
             raise ValueError("top_n must be >= 1")
+        if max_radius < 0:
+            raise ValueError("max_radius must be >= 0")
         self.index = index
         self.coder = coder
         self.top_n = top_n
@@ -99,7 +101,7 @@ class CbrEngine:
         self.update_epochs = update_epochs
         self.update_lr = update_lr
         self.no_update = no_update
-        self.buffer: list[SparseCase] = []
+        self.buffer: list[int] = []  # ids retained since the last round
         self.n_updates = 0
         self.last_update: UpdateStats | None = None
         self._rng = np.random.default_rng(seed)
@@ -160,7 +162,7 @@ class CbrEngine:
         if self.no_update or case.id in self.index:
             return False, False
         self.index.insert(case, self.coder.code(case) if code is None else code)
-        self.buffer.append(case)
+        self.buffer.append(case.id)
         updated = False
         if len(self.buffer) >= self.update_interval and self.trainable:
             self.update_model()
@@ -169,54 +171,61 @@ class CbrEngine:
             self.buffer.clear()  # nothing trainable; just drop the buffer
         return True, updated
 
-    def _reservoir(self, exclude: set) -> list[SparseCase]:
-        pool = [i for i in self.index.ids() if i not in exclude]
-        if not pool:
-            return []
-        k = min(self.update_interval, len(pool))
-        picks = self._rng.choice(len(pool), size=k, replace=False)
-        return [self.index.case(pool[int(p)]) for p in sorted(picks)]
-
     def update_model(self) -> float:
         """Adapt the network to the buffered cases, then recode the index.
 
         Pairs: every unordered buffer pair plus each buffer case against a
-        reservoir sample of stored cases, all rows of one feature matrix.
-        Runs update_epochs full-batch steps of the retention loss; steps
-        with exactly zero loss apply no parameter change, so a fully
+        reservoir sample of the other stored cases, all rows of one feature
+        matrix read from the index; a buffered id no longer stored is left
+        out. Runs update_epochs full-batch steps of the retention loss;
+        steps with exactly zero loss apply no parameter change, so a fully
         satisfied margin is a no-op. Every round counts in n_updates, one
         that forms no pair too. Returns the last loss evaluated;
-        last_update holds the round's UpdateStats.
+        last_update holds the round's UpdateStats. A non-finite loss,
+        gradient or code raises DivergenceError with the parameters put
+        back as they were before the round.
         """
         if not self.trainable:
             raise RuntimeError("coder has no trainable parameters")
         if not self.buffer:
             return 0.0
-        buffered = list(self.buffer)
-        others = self._reservoir({c.id for c in buffered})
-        cases = buffered + others
-        i, j = np.triu_indices(len(buffered), k=1, m=len(cases))
+        stored = np.array(self.index.ids(), dtype=np.int64)
+        buffered = np.array(self.buffer, dtype=np.int64)
+        buffered = buffered[np.isin(buffered, stored)]
+        others = stored[~np.isin(stored, buffered)]
+        if len(others):  # the reservoir: a sample of them, in id order
+            k = min(self.update_interval, len(others))
+            others = others[np.sort(self._rng.choice(len(others), size=k, replace=False))]
+        ids = np.concatenate((buffered, others))
+        i, j = np.triu_indices(len(buffered), k=1, m=len(ids))
         self.buffer.clear()
         self.n_updates += 1
         self.last_update = stats = UpdateStats(pairs=len(i))
         if not len(i):
             return 0.0
-        labels = np.array([c.label for c in cases])
-        batch = PairBatch(x=sparse.cases_to_csr(cases, self.coder.d), i=i, j=j,
-                          s=labels[i] == labels[j])
+        x, labels = self.index.rows(ids)
+        batch = PairBatch(x=x, i=i, j=j, s=labels[i] == labels[j])
 
+        before = self.coder.copy()
         opt = OptimizerState(kind="adam", lr=self.update_lr)
-        for _ in range(self.update_epochs):
-            stats.loss, grads = adaptive_objective_and_grad(batch, self.coder)
-            if stats.loss == 0.0:
-                break
-            opt.apply(self.coder, grads)
-            stats.steps += 1
-        if stats.steps:
-            t0 = time.perf_counter_ns()
-            changed = self.index.replace_codes(self.coder)
-            stats.recode_us = (time.perf_counter_ns() - t0) / 1e3
-            stats.churn = changed / len(self.index)
+        try:
+            for _ in range(self.update_epochs):
+                stats.loss, grads = adaptive_objective_and_grad(batch, self.coder)
+                if stats.loss == 0.0:
+                    break
+                if not (np.isfinite(stats.loss) and all_finite(grads)):
+                    raise DivergenceError("non-finite retention loss or gradient")
+                opt.apply(self.coder, grads)
+                stats.steps += 1
+            if stats.steps:
+                t0 = time.perf_counter_ns()
+                changed = self.index.replace_codes(self.coder)
+                stats.recode_us = (time.perf_counter_ns() - t0) / 1e3
+                stats.churn = changed / len(self.index)
+        except DivergenceError:
+            for (_, now), (_, was) in zip(self.coder.arrays(), before.arrays()):
+                now[...] = was
+            raise
         return stats.loss
 
     # full cycle

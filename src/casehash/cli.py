@@ -65,6 +65,9 @@ class RunConfig:
     update_lr: float = 1e-3
 
     def __post_init__(self):
+        for name in ("lr", "update_lr", "min_delta", "neg_ratio"):
+            if not np.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite")
         for name, low in (("epochs", 0), ("batch_size", 2), ("patience", 1), ("max_radius", 0),
                           ("update_epochs", 0), ("min_delta", 0.0), ("neg_ratio", 0.0)):
             if not getattr(self, name) >= low:

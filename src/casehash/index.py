@@ -8,16 +8,18 @@ are kept in code order. build, load, remove and replace_codes each end in
 _set_rows, the one place that sets these arrays: it permutes them, the
 snapshot and its norms included, into the order of a stable sort of the
 codes, so every bucket's rows are one ascending range. An insert appends
-its row at the end, and to its bucket, until the next regroup. An id finds
-its row by binary search in a sorted copy of the id array, beside each
-sorted id's row; save reads its ascending id order from the same pair.
+its row at the end, and to its bucket, until the next regroup. Every id
+accessor finds its rows in one vectorized binary search of a sorted copy
+of the id array, beside each sorted id's row; save reads its ascending id
+order from the same pair.
 
 build converts its cases to that matrix once, codes it, permutes it and
 keeps it, so neither save nor the first query converts again. The index
 file stores, in ascending id order, the matrix's index and value arrays as
 two blocks, so a loaded index reads them straight into its snapshot,
 checked as one block. case(id) always reads its row of the snapshot and
-builds that one SparseCase with sparse.rows_to_cases.
+builds that one SparseCase with sparse.rows_to_cases; rows(ids) gathers
+many rows into one CSR matrix.
 
 The case list exists only to rebuild the snapshot after a write: only
 that rebuild, insert and remove touch it. A loaded index has none until
@@ -112,39 +114,44 @@ class HashIndex:
         return len(self._ids)
 
     def __contains__(self, case_id: int) -> bool:
-        return self._search(case_id)[1]
+        try:
+            self._rows([case_id])
+        except KeyError:
+            return False
+        return True
 
     def case(self, case_id: int) -> SparseCase:
-        row = self._row(case_id)
+        row = int(self._rows([case_id])[0])
         return rows_to_cases(self._matrix()[0], row, row + 1, self._ids, self._labels)[0]
 
     def labels(self, ids) -> np.ndarray:
         """The labels of the given ids as one int64 array, in their order;
         KeyError names the first id that is not stored."""
+        return self._labels[self._rows(ids)]
+
+    def rows(self, ids):
+        """The given ids' snapshot rows, in their order, as one CSR matrix,
+        and their int64 labels; KeyError names the first id not stored."""
+        rows = self._rows(ids)
+        return _take(self._matrix()[0], rows), self._labels[rows]
+
+    def code(self, case_id: int) -> HashCode:
+        return HashCode(r=self.r, words=tuple(self._words[self._rows([case_id])[0]].tolist()))
+
+    def ids(self) -> list[int]:
+        return self._sorted_ids.tolist()
+
+    def _rows(self, ids) -> np.ndarray:
+        """The rows of the given ids as one int64 array, in their order, by
+        binary search of the sorted ids; KeyError names the first id that
+        is not stored."""
         ids = np.asarray(ids, dtype=np.int64)
         at = self._sorted_ids.searchsorted(ids)
         found = at < len(self)
         found[found] = self._sorted_ids[at[found]] == ids[found]
         if not found.all():
             raise KeyError(int(ids[~found][0]))
-        return self._labels[self._sorted_rows[at]]
-
-    def code(self, case_id: int) -> HashCode:
-        return HashCode(r=self.r, words=tuple(self._words[self._row(case_id)].tolist()))
-
-    def ids(self) -> list[int]:
-        return self._sorted_ids.tolist()
-
-    def _search(self, case_id: int) -> tuple[int, bool]:
-        """The sorted-id position of an id, and whether that id is stored."""
-        at = int(self._sorted_ids.searchsorted(case_id))
-        return at, bool(at < len(self) and self._sorted_ids[at] == case_id)
-
-    def _row(self, case_id: int) -> int:
-        at, found = self._search(case_id)
-        if not found:
-            raise KeyError(case_id)
-        return int(self._sorted_rows[at])
+        return self._sorted_rows[at]
 
     @property
     def n_buckets(self) -> int:
@@ -205,11 +212,10 @@ class HashIndex:
 
     def insert(self, case: SparseCase, code: HashCode) -> None:
         self._check(case, code)
-        at, found = self._search(case.id)
-        if found:
+        if case.id in self:
             raise KeyError(f"duplicate case id {case.id}")
         cases = self._own_cases()
-        row = len(self)
+        row, at = len(self), self._sorted_ids.searchsorted(case.id)
         self._sorted_ids = np.insert(self._sorted_ids, at, case.id)
         self._sorted_rows = np.insert(self._sorted_rows, at, row)
         self._pos = np.append(self._pos, len(cases))
@@ -226,9 +232,7 @@ class HashIndex:
         self._snapshot = None
 
     def remove(self, case_id: int) -> SparseCase:
-        if case_id not in self:
-            raise KeyError(f"unknown case id {case_id}")
-        row, cases = self._row(case_id), self._own_cases()
+        row, cases = int(self._rows([case_id])[0]), self._own_cases()
         place = self._pos[row]
         case = cases.pop(place)
         pos = np.delete(self._pos, row)
@@ -328,6 +332,8 @@ class HashIndex:
         self._check(query, code)
         if top_n < 1:
             raise ValueError("top_n must be >= 1")
+        if max_radius < 0:
+            raise ValueError("max_radius must be >= 0")
 
         t0 = time.perf_counter_ns()
         at, found = self._find(code.words)
@@ -497,9 +503,14 @@ def _row_norms(x) -> np.ndarray:
     return sq
 
 
+def _take(x, rows: np.ndarray):
+    """The given rows of the CSR matrix x, in their order, as one CSR matrix."""
+    indptr, indices, data = _gather_rows(x, rows)
+    return sp.csr_matrix((data, indices, indptr), shape=(len(rows), x.shape[1]))
+
+
 def _snapshot(x, order: np.ndarray):
     """The rows of the CSR matrix x in the given order, with their squared
     norms."""
     sq = _row_norms(x)[order]
-    indptr, indices, data = _gather_rows(x, order)
-    return sp.csr_matrix((data, indices, indptr), shape=(len(order), x.shape[1])), sq
+    return _take(x, order), sq

@@ -82,7 +82,7 @@ class PairBatch:
         return len(self) - self.n_positive
 
 
-def _all_finite(params: NetworkParams) -> bool:
+def all_finite(params: NetworkParams) -> bool:
     """Whether every array of params (or of a gradient) is finite."""
     return all(np.all(np.isfinite(a)) for _, a in params.arrays())
 
@@ -190,7 +190,7 @@ def _objective_and_grad(batch: PairBatch, params: NetworkParams):
 def grad(batch: PairBatch, params: NetworkParams) -> NetworkParams:
     """Exact analytic gradient of batch_objective for every parameter."""
     _, gradients = _objective_and_grad(batch, params)
-    if not _all_finite(gradients):
+    if not all_finite(gradients):
         raise DivergenceError("non-finite gradient")
     return gradients
 
@@ -365,7 +365,7 @@ def train(
                 batch = sample_pairs(x, labels, min(batch_size, len(train_set)),
                                      step_seed, neg_ratio)
                 value, gradients = _objective_and_grad(batch, params)
-                if not np.isfinite(value) or not _all_finite(gradients):
+                if not np.isfinite(value) or not all_finite(gradients):
                     raise DivergenceError("objective diverged")
                 opt.apply(params, gradients)
                 totals += (value, batch.n_positive, batch.n_negative)

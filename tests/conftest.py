@@ -108,6 +108,33 @@ def reference_two_class_fixture(n=2000, n_groups=5, n_categories=4, n_noise=20, 
     return cases
 
 
+def same_csr(a, b) -> bool:
+    """Whether two CSR matrices have the same shape and the same indptr,
+    indices and data, value for value."""
+    return (a.shape == b.shape and np.array_equal(a.indptr, b.indptr)
+            and np.array_equal(a.indices, b.indices) and np.array_equal(a.data, b.data))
+
+
+def reference_update_batch(stored, buffer, update_interval, rng, dim):
+    """A model update's pairs formed on case objects, as CbrEngine once did:
+    the buffered cases still stored, then a reservoir drawn by rng from the
+    other stored ids in ascending order, kept in id order, all converted
+    with cases_to_csr; each buffer row pairs with every later row. stored
+    maps id -> case and buffer holds the retained ids in order. Returns
+    (x, i, j, s): the oracle for CbrEngine.update_model's PairBatch."""
+    buffered = [stored[cid] for cid in buffer if cid in stored]
+    exclude = {c.id for c in buffered}
+    pool = [cid for cid in sorted(stored) if cid not in exclude]
+    others = []
+    if pool:
+        picks = rng.choice(len(pool), size=min(update_interval, len(pool)), replace=False)
+        others = [stored[pool[int(p)]] for p in sorted(picks)]
+    cases = buffered + others
+    i, j = np.triu_indices(len(buffered), k=1, m=len(cases))
+    labels = np.array([c.label for c in cases], dtype=np.int64)
+    return cases_to_csr(cases, dim), i, j, (labels[i] == labels[j]).astype(np.float64)
+
+
 def to_dense(vector) -> np.ndarray:
     """The dense float vector of a SparseVector."""
     out = np.zeros(vector.dim)

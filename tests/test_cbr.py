@@ -1,15 +1,16 @@
 import numpy as np
 import pytest
 
-from casehash import (CbrEngine, HashCode, HashIndex, Hyperparams, LshPlanes,
+from casehash import (CbrEngine, DivergenceError, HashCode, HashIndex, Hyperparams, LshPlanes,
                       clustered_fixture, init_params)
 import casehash.cbr as cbr_module
+import casehash.index as index_module
 import casehash.sparse as sparse_module
 from casehash.cbr import Suggestion
 from casehash.network import pack_rows
 from casehash.sparse import cases_to_csr
 
-from conftest import flip, make_case, random_cases, to_dense
+from conftest import flip, make_case, random_cases, same_csr, to_dense
 
 
 class CountingCoder:
@@ -45,6 +46,20 @@ class MinimalCoder:
 
     def code_rows(self, x) -> np.ndarray:
         return pack_rows(self.sign * np.where(x[:, :self.r].toarray() > 0, 1.0, -1.0))
+
+
+def record_batches(monkeypatch) -> list:
+    """Patch the engine's objective so each PairBatch it is given lands in
+    the returned list."""
+    seen = []
+    real = cbr_module.adaptive_objective_and_grad
+
+    def spy(batch, coder):
+        seen.append(batch)
+        return real(batch, coder)
+
+    monkeypatch.setattr(cbr_module, "adaptive_objective_and_grad", spy)
+    return seen
 
 
 def one_bucket_index(cases):
@@ -117,7 +132,7 @@ class TestRetain:
         retained, updated = eng.retain(new)
         assert retained and not updated
         assert 50 in idx
-        assert [c.id for c in eng.buffer] == [50]
+        assert eng.buffer == [50]
 
     def test_no_update_engine_is_frozen(self, rng):
         cases = random_cases(rng, 10, dim=6, nnz=3)
@@ -170,55 +185,72 @@ class TestRetain:
         cases = random_cases(rng, 30, dim=8, nnz=3, n_labels=3)
         hyper = Hyperparams(k_w=4, k_v=4, r=8, l=2, hidden=4, n_u=4)
         params = init_params(hyper, d=8, seed=1)
-        eng = CbrEngine(HashIndex.build(cases, params), params, top_n=3, seed=2)
-        seen, drawn = [], []
-        real = cbr_module.adaptive_objective_and_grad
-        real_reservoir = eng._reservoir
+        idx = HashIndex.build(cases, params)
+        eng = CbrEngine(idx, params, top_n=3, seed=2)
+        seen, asked, real_rows = record_batches(monkeypatch), [], idx.rows
 
-        def spy(batch, coder):
-            seen.append(batch)
-            return real(batch, coder)
+        def spy_rows(ids):
+            asked.append(list(ids))
+            return real_rows(ids)
 
-        def spy_reservoir(exclude):
-            drawn.extend(real_reservoir(exclude))
-            return drawn
-
-        monkeypatch.setattr(cbr_module, "adaptive_objective_and_grad", spy)
-        monkeypatch.setattr(eng, "_reservoir", spy_reservoir)
+        monkeypatch.setattr(idx, "rows", spy_rows)
         buffered = random_cases(rng, 4, dim=8, nnz=3, n_labels=3, id_start=100)
         for c in buffered:
             eng.retain(c)
-        batch, rows = seen[0], buffered + drawn
-        assert len(drawn) == 4 and not {c.id for c in drawn} & {100, 101, 102, 103}
-        # the batch's rows are the buffer cases, then the reservoir's
-        want_x = cases_to_csr(rows, 8)
-        assert batch.x.shape == want_x.shape
-        assert np.array_equal(batch.x.indptr, want_x.indptr)
-        assert np.array_equal(batch.x.indices, want_x.indices)
-        assert np.array_equal(batch.x.data, want_x.data)
+        # one read from the index: the buffered ids, then the reservoir,
+        # sampled from the other stored ids by the engine's generator
+        picks = np.random.default_rng(2).choice(30, size=4, replace=False)
+        assert asked == [[100, 101, 102, 103] + sorted(picks.tolist())]
+        stored = {c.id: c for c in cases + buffered}
+        batch, rows = seen[0], [stored[cid] for cid in asked[0]]
+        assert same_csr(batch.x, cases_to_csr(rows, 8))
         want = [(a, b) for a in range(4) for b in range(a + 1, len(rows))]
         assert list(zip(batch.i.tolist(), batch.j.tolist())) == want
         assert batch.s.tolist() == [float(rows[a].label == rows[b].label) for a, b in want]
         # every step of the round reuses that one matrix
         assert len(seen) > 1 and all(b.x is batch.x for b in seen)
 
-    def test_update_converts_its_cases_once_per_round(self, rng, monkeypatch):
-        calls = []
+    def test_update_converts_no_case_list(self, rng, monkeypatch):
+        # the round reads its rows from the index's snapshot; the only
+        # conversion is the snapshot rebuild after the round's inserts
+        calls = {"sparse": [], "index": []}
 
-        def counted(cases, dim):
-            calls.append(len(cases))
-            return cases_to_csr(cases, dim)
+        def counted(where):
+            def convert(cases, dim):
+                calls[where].append(len(cases))
+                return cases_to_csr(cases, dim)
+            return convert
 
-        monkeypatch.setattr(sparse_module, "cases_to_csr", counted)
+        monkeypatch.setattr(sparse_module, "cases_to_csr", counted("sparse"))
+        monkeypatch.setattr(index_module, "cases_to_csr", counted("index"))
         cases = random_cases(rng, 30, dim=8, nnz=3)
         hyper = Hyperparams(k_w=4, k_v=4, r=8, l=2, hidden=4, n_u=4)
         params = init_params(hyper, d=8, seed=1)
         eng = CbrEngine(HashIndex.build(cases, params), params, top_n=3, seed=2,
                         update_epochs=5, update_lr=0.05)
+        calls["index"].clear()  # build's own conversion
         for c in random_cases(rng, 8, dim=8, nnz=3, id_start=100):
             eng.retain(c)
         assert eng.n_updates == 2
-        assert calls == [8, 8]  # 4 buffered + 4 from the reservoir, per round
+        assert calls == {"sparse": [], "index": [34, 38]}
+
+    def test_removed_buffered_id_leaves_the_round(self, rng, monkeypatch):
+        cases = random_cases(rng, 30, dim=8, nnz=3, n_labels=3)
+        hyper = Hyperparams(k_w=4, k_v=4, r=8, l=2, hidden=4, n_u=3)
+        params = init_params(hyper, d=8, seed=1)
+        idx = HashIndex.build(cases, params)
+        eng = CbrEngine(idx, params, top_n=3, seed=2)
+        seen = record_batches(monkeypatch)
+        new = random_cases(rng, 3, dim=8, nnz=3, n_labels=3, id_start=100)
+        eng.retain(new[0])
+        eng.retain(new[1])
+        idx.remove(100)
+        assert eng.buffer == [100, 101]
+        eng.retain(new[2])
+        # 101 and 102 pair with each other and with 3 reservoir cases
+        assert eng.n_updates == 1 and eng.last_update.pairs == 1 + 2 * 3
+        picks = sorted(np.random.default_rng(2).choice(30, size=3, replace=False).tolist())
+        assert same_csr(seen[0].x, cases_to_csr(new[1:] + [cases[k] for k in picks], 8))
 
     def test_round_without_pairs_is_counted(self, rng):
         # the only stored case is removed, so the round's one buffered case
@@ -254,6 +286,31 @@ class TestRetain:
             assert np.array_equal(a, before[n]), f"{n} changed on zero loss"
         for cid, code in codes_before.items():
             assert idx.code(cid) == code
+
+    def test_failed_update_restores_the_parameters(self, rng):
+        # a step of lr 1e300 sends the network's outputs past float range:
+        # the round raises, and the engine keeps the parameters and codes it
+        # had before the round
+        cases = random_cases(rng, 60, dim=8, nnz=3)
+        hyper = Hyperparams(k_w=4, k_v=4, r=8, l=2, hidden=4, n_u=5)
+        params = init_params(hyper, d=8, seed=1)
+        idx = HashIndex.build(cases, params)
+        eng = CbrEngine(idx, params, top_n=3, seed=2, update_lr=1e300)
+        new = random_cases(rng, 6, dim=8, nnz=3, id_start=100)
+        with np.errstate(over="ignore", invalid="ignore"):
+            for c in new[:4]:
+                eng.solve(c, true_label=c.label)
+            before = params.copy()
+            codes = {cid: idx.code(cid) for cid in idx.ids()}
+            with pytest.raises(DivergenceError):
+                eng.solve(new[4], true_label=new[4].label)
+        assert eng.n_updates == 1 and eng.buffer == []
+        for (name, a), (_, b) in zip(params.arrays(), before.arrays()):
+            assert np.array_equal(a, b), f"{name} changed by the failed round"
+        codes[104] = idx.code(104)
+        assert {cid: idx.code(cid) for cid in idx.ids()} == codes
+        assert all(idx.code(cid) == params.code(idx.case(cid)) for cid in idx.ids())
+        assert eng.suggest(new[5]).label is not None
 
 
 class TestUpdateTelemetry:
@@ -367,6 +424,8 @@ class TestConstruction:
             CbrEngine(idx, planes, top_n=0)
         with pytest.raises(ValueError):
             CbrEngine(idx, planes, update_interval=0)
+        with pytest.raises(ValueError, match="max_radius must be >= 0"):
+            CbrEngine(idx, planes, max_radius=-3)
 
     def test_update_interval_defaults_to_hyper(self, rng):
         cases = random_cases(rng, 5, dim=6, nnz=2)

@@ -706,6 +706,18 @@ class TestExitCodes:
         assert "Traceback" not in err
 
 
+    @pytest.mark.parametrize("value", ["inf", "-inf", "1e400", "nan"])
+    @pytest.mark.parametrize("key", ["lr", "update_lr", "min_delta", "neg_ratio"])
+    def test_non_finite_config_float_exits_2(self, tmp_path, data_file, capsys, key, value):
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text(FAST_CONFIG + f"{key} = {value}\n")
+        code, _, err = run(capsys, "train", "--data", data_file, "--config", str(cfg),
+                           "--out", str(tmp_path / "m.chn"))
+        assert code == 2
+        assert f"error: {key} must be finite" in err
+        assert "Traceback" not in err
+
+
 class TestModelErrors:
     @pytest.fixture
     def model(self, tmp_path, data_file, config_file, capsys):

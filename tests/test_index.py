@@ -18,7 +18,8 @@ from casehash import index as index_module
 from casehash.network import CODE_BLOCK_ROWS, inner_product
 from casehash.sparse import cases_to_csr
 
-from conftest import bit, flip, hamming_ball, make_case, random_cases, to_dense, to_signs
+from conftest import (bit, flip, hamming_ball, make_case, random_cases, same_csr, to_dense,
+                      to_signs)
 
 
 def random_code(rng, r):
@@ -100,6 +101,12 @@ class TestIndexMutation:
         def check(index):
             assert index.ids() == sorted(stored)
             assert all(index.case(cid) == case for cid, case in stored.items())
+            # rows follows the given order, which is neither id nor row order
+            ids = list(stored)[::-1]
+            x, labels = index.rows(ids)
+            assert same_csr(x, cases_to_csr([stored[cid] for cid in ids], 10))
+            assert labels.dtype == np.int64
+            assert labels.tolist() == [stored[cid].label for cid in ids]
 
         for case in random_cases(rng, 4, dim=10, nnz=3, id_start=100) + [
                 make_case(10, [], case_id=-1)]:
@@ -144,8 +151,9 @@ class TestIndexMutation:
             for read in (idx.case, idx.code, idx.remove):
                 with pytest.raises(KeyError):
                     read(absent)
-            with pytest.raises(KeyError, match=str(absent)):
-                idx.labels([20, absent, 10])
+            for read in (idx.labels, idx.rows):
+                with pytest.raises(KeyError, match=str(absent)):
+                    read([20, absent, 10])
         assert [cid in idx for cid in (10, 20, 30)] == [True] * 3
         assert len(idx) == 3
         empty = HashIndex(r=8, dim=10)
@@ -189,6 +197,14 @@ class TestIndexMutation:
             idx.retrieve(cases[0], code, top_n=3)
         with pytest.raises(ValueError, match=f"code width {r} does not match index width 8"):
             idx.candidates_within(code, 1)
+
+    def test_negative_radius_rejected(self, rng):
+        idx, cases, planes = small_index(rng)
+        code = planes.code(cases[0])
+        with pytest.raises(ValueError, match="max_radius must be >= 0"):
+            idx.retrieve(cases[0], code, top_n=3, max_radius=-1)
+        with pytest.raises(ValueError, match="radius must be >= 0"):
+            idx.candidates_within(code, -1)
 
     def test_remove(self, rng):
         idx, cases, _ = small_index(rng)
