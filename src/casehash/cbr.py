@@ -8,9 +8,10 @@ refreshed on buffer x buffer and buffer x reservoir pairs, rows the index
 gathers in one call, under the hinge-gated retention loss, after which every
 stored code is recomputed and the buckets rebuilt. A retention round whose
 loss is exactly zero leaves the parameters and codes bitwise unchanged; one
-that diverges puts the parameters back. Each update's loss, pair count,
-steps, recode time and code churn are kept as UpdateStats on the engine and
-on the SolveRecord of the solve that triggered it.
+that diverges puts the parameters back and is marked diverged. Each
+update's loss, pair count, steps, recode time and code churn are kept as
+UpdateStats on the engine and on the SolveRecord of the solve that
+triggered it.
 """
 
 from __future__ import annotations
@@ -52,13 +53,16 @@ class Suggestion:
 class UpdateStats:
     """One model update: the last retention loss evaluated, the pair count,
     the optimizer steps taken, the wall time of the recode (0 when no step
-    was taken) and the code churn, the fraction of stored codes it changed."""
+    was taken) and the code churn, the fraction of stored codes it changed.
+    A diverged round, whose parameters were put back, keeps its loss and
+    pairs, with steps, recode time and churn 0: nothing it did was kept."""
 
     loss: float = 0.0
     pairs: int = 0
     steps: int = 0
     recode_us: float = 0.0
     churn: float = 0.0
+    diverged: bool = False
 
 
 @dataclass
@@ -177,20 +181,22 @@ class CbrEngine:
         Pairs: every unordered buffer pair plus each buffer case against a
         reservoir sample of the other stored cases, all rows of one feature
         matrix read from the index; a buffered id no longer stored is left
-        out. Runs update_epochs full-batch steps of the retention loss;
-        steps with exactly zero loss apply no parameter change, so a fully
-        satisfied margin is a no-op. Every round counts in n_updates, one
-        that forms no pair too. Returns the last loss evaluated;
-        last_update holds the round's UpdateStats. A non-finite loss,
-        gradient or code raises DivergenceError with the parameters put
-        back as they were before the round.
+        out, and one buffered twice (retained, removed and retained again)
+        counts once, at its first place. Runs update_epochs full-batch steps
+        of the retention loss; steps with exactly zero loss apply no
+        parameter change, so a fully satisfied margin is a no-op. Every
+        round counts in n_updates, one that forms no pair too. Returns the
+        last loss evaluated; last_update holds the round's UpdateStats. A
+        non-finite loss, gradient or code raises DivergenceError with the
+        parameters put back as they were before the round and last_update
+        marked diverged.
         """
         if not self.trainable:
             raise RuntimeError("coder has no trainable parameters")
         if not self.buffer:
             return 0.0
         stored = np.array(self.index.ids(), dtype=np.int64)
-        buffered = np.array(self.buffer, dtype=np.int64)
+        buffered = np.array(list(dict.fromkeys(self.buffer)), dtype=np.int64)
         buffered = buffered[np.isin(buffered, stored)]
         others = stored[~np.isin(stored, buffered)]
         if len(others):  # the reservoir: a sample of them, in id order
@@ -225,6 +231,7 @@ class CbrEngine:
         except DivergenceError:
             for (_, now), (_, was) in zip(self.coder.arrays(), before.arrays()):
                 now[...] = was
+            stats.diverged, stats.steps, stats.recode_us, stats.churn = True, 0, 0.0, 0.0
             raise
         return stats.loss
 

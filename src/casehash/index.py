@@ -7,19 +7,22 @@ matrix, beside its squared norm; only code(id) builds a HashCode. The rows
 are kept in code order. build, load, remove and replace_codes each end in
 _set_rows, the one place that sets these arrays: it permutes them, the
 snapshot and its norms included, into the order of a stable sort of the
-codes, so every bucket's rows are one ascending range. An insert appends
-its row at the end, and to its bucket, until the next regroup. Every id
-accessor finds its rows in one vectorized binary search of a sorted copy
-of the id array, beside each sorted id's row; save reads its ascending id
-order from the same pair.
+codes, so every bucket's rows are one ascending range; codes already in
+that order skip the sort and the permutation. An insert appends its row at
+the end, and to its bucket, until the next regroup. Every id accessor finds
+its rows in one vectorized binary search of a sorted copy of the id array,
+beside each sorted id's row.
 
 build converts its cases to that matrix once, codes it, permutes it and
 keeps it, so neither save nor the first query converts again. The index
-file stores, in ascending id order, the matrix's index and value arrays as
-two blocks, so a loaded index reads them straight into its snapshot,
-checked as one block. case(id) always reads its row of the snapshot and
-builds that one SparseCase with sparse.rows_to_cases; rows(ids) gathers
-many rows into one CSR matrix.
+file (version 3) stores the rows in code order with ids ascending within a
+code, and the matrix's index and value arrays as two blocks, the counts and
+indices at the narrowest unsigned width the dim allows. A loaded index
+takes the file's rows as its own, in the order they stand, so load neither
+sorts nor gathers; save writes rows already in file order as they are, and
+sorts the others. case(id) always reads its row of the snapshot and builds
+that one SparseCase with sparse.rows_to_cases; rows(ids) gathers many rows
+into one CSR matrix.
 
 The case list exists only to rebuild the snapshot after a write: only
 that rebuild, insert and remove touch it. A loaded index has none until
@@ -64,22 +67,46 @@ from .network import HashCode, read_block, unpack_words
 from .sparse import DataFormatError, SparseCase, cases_to_csr, rows_to_cases
 
 INDEX_MAGIC = b"CHIX"
-INDEX_VERSION = 2
+INDEX_VERSION = 3
 
 
-def _group(words: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _group(words: np.ndarray) -> tuple[np.ndarray | slice, np.ndarray, np.ndarray]:
     """The code order of an (n, n_words) code array: the permutation that
     sorts its rows by word 0, then word 1 and so on, the distinct codes in
     that order as one table, and where each code's rows start in it.
 
-    The sort is stable, so the rows of one code keep their order.
+    The sort is stable, so the rows of one code keep their order. Rows that
+    are in code order already, as a loaded file's are, pay no sort: their
+    permutation is the identity, slice(None).
     """
-    order = np.lexsort(words.T[::-1])
-    if not len(order):
-        return order, words, order
+    order = slice(None) if _in_code_order(words) else np.lexsort(words.T[::-1])
     ordered = words[order]
+    if not len(ordered):
+        return order, ordered, np.zeros(0, dtype=np.int64)
     starts = np.flatnonzero(np.r_[True, (ordered[1:] != ordered[:-1]).any(axis=1)])
     return order, ordered[starts], starts
+
+
+def _in_code_order(words: np.ndarray, ids: np.ndarray | None = None) -> bool:
+    """Whether the rows of an (n, n_words) code array ascend word by word,
+    equal codes allowed; given ids, equal codes must also hold strictly
+    ascending ids. One pass over each word."""
+    rising = np.zeros(max(len(words) - 1, 0), dtype=bool)
+    equal = ~rising
+    for col in words.T:
+        rising |= equal & (col[1:] > col[:-1])
+        equal &= col[1:] == col[:-1]
+    if ids is not None:
+        equal &= ids[1:] > ids[:-1]
+    return bool((rising | equal).all())
+
+
+def _widths(dim: int) -> tuple[str, str]:
+    """The file's count and feature-index dtypes at a feature dim: the
+    narrowest little-endian unsigned types that hold dim and dim - 1."""
+    def narrowest(top: int) -> str:
+        return next(t for t in ("<u1", "<u2", "<u4", "<u8") if top <= np.iinfo(t).max)
+    return narrowest(dim), narrowest(dim - 1)
 
 
 @dataclass
@@ -114,11 +141,8 @@ class HashIndex:
         return len(self._ids)
 
     def __contains__(self, case_id: int) -> bool:
-        try:
-            self._rows([case_id])
-        except KeyError:
-            return False
-        return True
+        at = int(self._sorted_ids.searchsorted(case_id))
+        return at < len(self) and bool(self._sorted_ids[at] == case_id)
 
     def case(self, case_id: int) -> SparseCase:
         row = int(self._rows([case_id])[0])
@@ -192,12 +216,13 @@ class HashIndex:
         if len(repeated):
             raise DataFormatError(f"duplicate case id {sorted_ids[repeated[0]]}")
         order, self._table, starts = _group(words)
-        row_of = np.empty_like(order)
-        row_of[order] = np.arange(len(order))
+        rows = np.arange(len(ids))
+        row_of = np.empty_like(rows)
+        row_of[order] = rows
         self._sorted_ids, self._sorted_rows = sorted_ids, row_of[by_id]
         self._ids, self._labels, self._words = ids[order], labels[order], words[order]
         self._pos = None if pos is None else pos[order]
-        rows, bounds = np.arange(len(order)), [*starts.tolist(), len(order)]
+        bounds = [*starts.tolist(), len(rows)]
         self._buckets = [rows[a:b] for a, b in zip(bounds, bounds[1:])]
         self._snapshot = None if x is None else _snapshot(x, order)
         return self
@@ -380,52 +405,67 @@ class HashIndex:
                                rerank_us=rerank_us)
 
     def save(self, path) -> None:
-        """Binary dump, little-endian, in ascending id order: the magic, then
-        int64 version, r, dim and n, the n ids, the n codes as ceil(r/64)
-        uint64 words each, the n labels and the n feature counts, then the
-        feature matrix's CSR arrays as two blocks: every case's indices
-        (int64), then every case's values (float64)."""
-        order = self._sorted_rows
-        indptr, indices, values = _gather_rows(self._matrix()[0], order)
+        """Binary dump, little-endian, rows in code order with ids ascending
+        within a code: the magic, then int64 version, r, dim and n, the n
+        ids, the n codes as ceil(r/64) uint64 words each, the n labels (int64)
+        and the n feature counts, then the feature matrix's CSR arrays as two
+        blocks: every case's indices, then every case's values (float64). The
+        counts and the indices take the narrowest unsigned type that holds
+        dim and dim - 1 (_widths). Rows already in that order, as after a load
+        or a regroup of rows built in id order, are written as they are."""
+        x = self._matrix()[0]
+        if _in_code_order(self._words, self._ids):
+            order, (indptr, indices, values) = slice(None), (x.indptr, x.indices, x.data)
+        else:
+            order = np.lexsort((self._ids, *self._words.T[::-1]))
+            indptr, indices, values = _gather_rows(x, order)
+        count_type, index_type = _widths(self.dim)
         with open(str(path), "wb") as fh:
             fh.write(INDEX_MAGIC)
-            np.array([INDEX_VERSION, self.r, self.dim, len(order)], dtype="<i8").tofile(fh)
-            self._sorted_ids.astype("<i8", copy=False).tofile(fh)
+            np.array([INDEX_VERSION, self.r, self.dim, len(self)], dtype="<i8").tofile(fh)
+            self._ids[order].astype("<i8", copy=False).tofile(fh)
             self._words[order].astype("<u8", copy=False).tofile(fh)
             self._labels[order].astype("<i8", copy=False).tofile(fh)
-            np.diff(indptr).astype("<i8", copy=False).tofile(fh)
-            indices.astype("<i8", copy=False).tofile(fh)
+            np.diff(indptr).astype(count_type).tofile(fh)
+            indices.astype(index_type).tofile(fh)
             values.astype("<f8", copy=False).tofile(fh)
 
     @classmethod
     def load(cls, path) -> "HashIndex":
         """Read a file written by save(); a short or corrupt file, or one of
-        another version, raises DataFormatError. The rows stay in the
-        feature snapshot, permuted into code order: no case object is
-        built."""
+        another version, raises DataFormatError. The file's rows, in code
+        order with ids ascending within a code, become the index's rows as
+        they stand: no sort, no gather and no case object."""
         with open(str(path), "rb") as fh:
             if fh.read(4) != INDEX_MAGIC:
                 raise DataFormatError("not an index file")
             version, r, dim, n = (int(x) for x in read_block(fh, "<i8", 4, _truncated))
-            if version != INDEX_VERSION:  # version 1 interleaved each case's features
+            if version != INDEX_VERSION:  # an index is derived data: rebuild it
                 raise DataFormatError(f"index file version {version} is not {INDEX_VERSION}; "
                                       "rebuild it with `casehash index`")
             if r < 1 or dim < 1 or n < 0:
                 raise DataFormatError(f"corrupt index header: r={r} dim={dim} n={n}")
             n_words = (r + 63) // 64
+            count_type, index_type = _widths(dim)
             ids = read_block(fh, "<i8", n, _truncated).astype(np.int64)
             words = read_block(fh, "<u8", n * n_words, _truncated).reshape(n, n_words)
             spare = n_words * 64 - r
             if spare and (words[:, -1] >> np.uint64(64 - spare)).any():
                 raise DataFormatError("corrupt index file: unused high bits must be zero")
             labels = read_block(fh, "<i8", n, _truncated).astype(np.int64)
-            nnz = read_block(fh, "<i8", n, _truncated).astype(np.int64)
-            if (nnz < 0).any():
-                raise DataFormatError(f"corrupt index file: negative count {nnz.min()}")
-            total = sum(nnz.tolist())
-            indices = read_block(fh, "<i8", total, _truncated).astype(np.int64, copy=False)
+            nnz = read_block(fh, count_type, n, _truncated)
+            over = np.flatnonzero(nnz > dim)
+            if len(over):
+                raise DataFormatError(f"corrupt index file: case {ids[over[0]]}: "
+                                      f"count {nnz[over[0]]} exceeds dim {dim}")
+            total = int(nnz.sum(dtype=np.int64))
+            # the in-memory index type scipy would pick: int64 only when needed
+            itype = np.int32 if max(n, dim, total) <= np.iinfo(np.int32).max else np.int64
+            # cast before any difference is taken: unsigned ones wrap
+            indices = read_block(fh, index_type, total, _truncated).astype(itype)
             values = read_block(fh, "<f8", total, _truncated).astype(np.float64, copy=False)
-        indptr = np.r_[0, np.cumsum(nnz)]
+        indptr = np.zeros(n + 1, dtype=itype)
+        np.cumsum(nnz, dtype=itype, out=indptr[1:])
         _check_features(ids, indptr, indices, values, dim)
 
         x = sp.csr_matrix((values, indices, indptr), shape=(n, dim))
@@ -509,8 +549,10 @@ def _take(x, rows: np.ndarray):
     return sp.csr_matrix((data, indices, indptr), shape=(len(rows), x.shape[1]))
 
 
-def _snapshot(x, order: np.ndarray):
+def _snapshot(x, order: np.ndarray | slice):
     """The rows of the CSR matrix x in the given order, with their squared
-    norms."""
+    norms; the identity order, slice(None), keeps x itself."""
+    if isinstance(order, slice):
+        return x, _row_norms(x)
     sq = _row_norms(x)[order]
     return _take(x, order), sq

@@ -108,6 +108,12 @@ def reference_two_class_fixture(n=2000, n_groups=5, n_categories=4, n_noise=20, 
     return cases
 
 
+def narrowest(top):
+    """The narrowest little-endian unsigned dtype that holds top: the width
+    of an index file's counts (top = dim) and feature indices (dim - 1)."""
+    return next(f"<u{b // 8}" for b in (8, 16, 32, 64) if top < 2 ** b)
+
+
 def same_csr(a, b) -> bool:
     """Whether two CSR matrices have the same shape and the same indptr,
     indices and data, value for value."""
@@ -121,8 +127,9 @@ def reference_update_batch(stored, buffer, update_interval, rng, dim):
     other stored ids in ascending order, kept in id order, all converted
     with cases_to_csr; each buffer row pairs with every later row. stored
     maps id -> case and buffer holds the retained ids in order. Returns
-    (x, i, j, s): the oracle for CbrEngine.update_model's PairBatch."""
-    buffered = [stored[cid] for cid in buffer if cid in stored]
+    (x, i, j, s): the oracle for CbrEngine.update_model's PairBatch. An id
+    buffered twice counts once, at its first place."""
+    buffered = [stored[cid] for cid in dict.fromkeys(buffer) if cid in stored]
     exclude = {c.id for c in buffered}
     pool = [cid for cid in sorted(stored) if cid not in exclude]
     others = []

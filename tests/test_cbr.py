@@ -252,6 +252,32 @@ class TestRetain:
         picks = sorted(np.random.default_rng(2).choice(30, size=3, replace=False).tolist())
         assert same_csr(seen[0].x, cases_to_csr(new[1:] + [cases[k] for k in picks], 8))
 
+    def test_id_buffered_twice_trains_once(self, rng, monkeypatch):
+        # 100 is retained, removed and retained again: the buffer holds it
+        # twice, and the round pairs it once with the reservoir and never
+        # with itself, as a round of one copy does
+        cases = random_cases(rng, 30, dim=8, nnz=3, n_labels=3)
+        new = random_cases(rng, 1, dim=8, nnz=3, n_labels=3, id_start=100)[0]
+        hyper = Hyperparams(k_w=4, k_v=4, r=8, l=2, hidden=4, n_u=3)
+        seen, pairs = record_batches(monkeypatch), []
+        for copies in (2, 1):
+            params = init_params(hyper, d=8, seed=1)
+            idx = HashIndex.build(cases, params)
+            eng = CbrEngine(idx, params, top_n=3, seed=2, update_epochs=1)
+            eng.retain(new)
+            if copies == 2:
+                idx.remove(100)
+                eng.retain(new)
+            assert eng.buffer == [100] * copies
+            eng.update_model()
+            pairs.append(eng.last_update.pairs)
+        batch, one_batch = seen
+        assert pairs == [3, 3]
+        differing = np.asarray((batch.x[batch.i] != batch.x[batch.j]).sum(axis=1)).ravel()
+        assert (differing > 0).all()
+        assert same_csr(batch.x, one_batch.x)
+        assert (batch.i.tolist(), batch.j.tolist()) == (one_batch.i.tolist(), one_batch.j.tolist())
+
     def test_round_without_pairs_is_counted(self, rng):
         # the only stored case is removed, so the round's one buffered case
         # has no partner: it forms no pair, takes no step, and still counts
@@ -305,6 +331,11 @@ class TestRetain:
             with pytest.raises(DivergenceError):
                 eng.solve(new[4], true_label=new[4].label)
         assert eng.n_updates == 1 and eng.buffer == []
+        # the round is marked undone: it keeps its loss and pairs, and
+        # reports no step, recode or churn, since none of them was kept
+        stats = eng.last_update
+        assert stats.diverged and stats.pairs > 0 and stats.loss > 0
+        assert (stats.steps, stats.recode_us, stats.churn) == (0, 0.0, 0.0)
         for (name, a), (_, b) in zip(params.arrays(), before.arrays()):
             assert np.array_equal(a, b), f"{name} changed by the failed round"
         codes[104] = idx.code(104)

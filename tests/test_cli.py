@@ -402,11 +402,12 @@ class TestIndexAndQuery:
         assert code == 0
         data = bytearray(idx_path.read_bytes())
         counts = 4 + 8 * 4 + 8 * 3 * 80  # magic, header, 80 ids, codes and labels
-        nnz = np.frombuffer(bytes(data), dtype="<i8", count=80, offset=counts)
+        # at dim 40 the counts and the feature indices take one byte each
+        nnz = np.frombuffer(bytes(data), dtype="<u1", count=80, offset=counts)
         k = int(np.flatnonzero(nnz >= 2)[0])
         # the case's second feature index repeats its first
-        first = counts + 8 * 80 + 8 * int(nnz[:k].sum())
-        data[first + 8:first + 16] = data[first:first + 8]
+        first = counts + 80 + int(nnz[:k].sum())
+        data[first + 1] = data[first]
         idx_path.write_bytes(bytes(data))
         code, stdout, err = run(
             capsys, "query", "--index", str(idx_path), "--data", data_file,
@@ -416,13 +417,20 @@ class TestIndexAndQuery:
         assert stdout == ""
 
     def test_version_1_index_exits_3(self, tmp_path, data_file, capsys):
+        self.check_old_version_exits_3(tmp_path, data_file, capsys, 1)
+
+    def test_version_2_index_exits_3(self, tmp_path, data_file, capsys):
+        self.check_old_version_exits_3(tmp_path, data_file, capsys, 2)
+
+    @staticmethod
+    def check_old_version_exits_3(tmp_path, data_file, capsys, version):
         idx_path = tmp_path / "c.idx"
         code, _, _ = run(
             capsys, "index", "--data", data_file, "--hash", "lsh", "--bits", "8",
             "--out", str(idx_path))
         assert code == 0
         data = bytearray(idx_path.read_bytes())
-        data[4:12] = np.array([1], dtype="<i8").tobytes()  # the version word
+        data[4:12] = np.array([version], dtype="<i8").tobytes()  # the version word
         idx_path.write_bytes(bytes(data))
         code, stdout, err = run(
             capsys, "query", "--index", str(idx_path), "--data", data_file,
@@ -627,10 +635,11 @@ class TestExitCodes:
         data = bytearray(idx_path.read_bytes())
         data[-8:] = np.array([np.nan], dtype="<f8").tobytes()  # the last value
         idx_path.write_bytes(bytes(data))
+        last = np.frombuffer(bytes(data), dtype="<i8", count=80, offset=4 + 8 * 4)[-1]
         code, stdout, err = run(capsys, "query", "--index", str(idx_path), "--data", data_file,
                                 "--hash", "lsh", "--bits", "8")
         assert code == 3
-        assert "error: corrupt index file: case 79: value nan is not finite" in err
+        assert f"error: corrupt index file: case {last}: value nan is not finite" in err
         assert stdout == ""
 
     def test_train_on_one_case_exits_3(self, tmp_path, config_file, capsys):

@@ -18,8 +18,8 @@ from casehash import index as index_module
 from casehash.network import CODE_BLOCK_ROWS, inner_product
 from casehash.sparse import cases_to_csr
 
-from conftest import (bit, flip, hamming_ball, make_case, random_cases, same_csr, to_dense,
-                      to_signs)
+from conftest import (bit, flip, hamming_ball, make_case, narrowest, random_cases, same_csr,
+                      to_dense, to_signs)
 
 
 def random_code(rng, r):
@@ -422,18 +422,21 @@ class TestRetrieve:
 
 
 def reference_save(idx, path):
-    """The index file written case by case, as the layout documents it."""
-    ids = idx.ids()
+    """The index file written case by case, as the layout documents it: the
+    rows in code order, ids ascending within a code; the counts and the
+    feature indices at the narrowest unsigned width that holds dim and
+    dim - 1."""
+    ids = sorted(idx.ids(), key=lambda i: (idx.code(i).words, i))
     with open(path, "wb") as fh:
         fh.write(b"CHIX")
-        np.array([2, idx.r, idx.dim, len(ids)], dtype="<i8").tofile(fh)
+        np.array([3, idx.r, idx.dim, len(ids)], dtype="<i8").tofile(fh)
         np.array(ids, dtype="<i8").tofile(fh)
         for i in ids:
             np.array(idx.code(i).words, dtype="<u8").tofile(fh)
         np.array([idx.case(i).label for i in ids], dtype="<i8").tofile(fh)
-        np.array([idx.case(i).features.nnz for i in ids], dtype="<i8").tofile(fh)
+        np.array([idx.case(i).features.nnz for i in ids], dtype=narrowest(idx.dim)).tofile(fh)
         for i in ids:
-            np.array(idx.case(i).features.indices, dtype="<i8").tofile(fh)
+            np.array(idx.case(i).features.indices, dtype=narrowest(idx.dim - 1)).tofile(fh)
         for i in ids:
             np.array(idx.case(i).features.values, dtype="<f8").tofile(fh)
 
@@ -487,6 +490,14 @@ class TestPersistence:
         with pytest.raises(DataFormatError, match="version 1.*rebuild it with `casehash index`"):
             HashIndex.load(p)
 
+    def test_version_2_file_refused(self, rng, tmp_path):
+        idx, _, _ = small_index(rng)
+        p = tmp_path / "cases.idx"
+        idx.save(p)
+        patch(p, 4, 2)  # the version word
+        with pytest.raises(DataFormatError, match="version 2.*rebuild it with `casehash index`"):
+            HashIndex.load(p)
+
     def test_truncated_file_rejected(self, rng, tmp_path):
         idx, _, _ = small_index(rng)
         p = tmp_path / "cases.idx"
@@ -507,36 +518,42 @@ def two_case_file(tmp_path):
         idx.insert(case, HashCode(r=8, words=(case.id + 5,)))
     path = tmp_path / "two.idx"
     idx.save(path)
-    # magic, 4 header words, then 2 ids, 2 code words, 2 labels, 2 counts,
-    # the 3 feature indices and the 3 values
+    # magic, 4 header words, then 2 ids, 2 code words and 2 labels of 8 bytes
+    # each, 2 one-byte counts, the 3 one-byte feature indices and the 3 values
     head = 4 + 8 * 4
-    offsets = {"id1": head + 8, "word0": head + 16, "nnz0": head + 48,
-               "idx0": head + 64, "idx1": head + 72, "val0": head + 88}
+    offsets = {"id1": (head + 8, "<i8"), "word0": (head + 16, "<u8"),
+               "nnz0": (head + 48, "<u1"), "idx0": (head + 50, "<u1"),
+               "idx1": (head + 51, "<u1"), "val0": (head + 53, "<f8")}
     return path, offsets
 
 
-def patch(path, offset, value, dtype="<i8"):
+def patch(path, offset, value, dtype="<i8", width=None):
+    """Overwrite the field at offset with value, given as dtype and stored
+    at the field's own width (dtype's unless given): -1 stored one byte wide
+    reads back as 255."""
     data = bytearray(path.read_bytes())
-    data[offset:offset + 8] = np.array([value], dtype=dtype).tobytes()
+    item = np.array([value], dtype=dtype).astype(width or dtype).tobytes()
+    data[offset:offset + len(item)] = item
     path.write_bytes(bytes(data))
 
 
 def rows_file(tmp_path, rows):
-    """An r=8 index file of one case per feature row, case k with id 10 + k
-    and label k % 2, plus the byte offsets of each row's (index, value)
-    entries."""
+    """An r=8, dim=4 index file of one case per feature row, case k with id
+    10 + k, label k % 2 and code k, so the file keeps the rows' order, plus
+    the byte offsets of each row's (index, value) entries: the counts and
+    the indices are one byte each."""
     dim = 4
     idx = HashIndex(r=8, dim=dim)
     for k, pairs in enumerate(rows):
         idx.insert(make_case(dim, pairs, label=k % 2, case_id=10 + k), HashCode(r=8, words=(k,)))
     path = tmp_path / "rows.idx"
     idx.save(path)
-    at = 4 + 8 * 4 + 8 * 4 * len(rows)  # magic, header, ids, codes, labels, counts
-    to_values = 8 * sum(map(len, rows))  # the values block follows the indices block
-    entries = []
+    indices = 4 + 8 * 4 + (8 * 3 + 1) * len(rows)  # magic, header, ids, codes, labels, counts
+    values = indices + sum(map(len, rows))  # the values block follows the indices block
+    entries, k = [], 0
     for pairs in rows:
-        entries.append([(at + 8 * j, at + to_values + 8 * j) for j in range(len(pairs))])
-        at += 8 * len(pairs)
+        entries.append([(indices + k + j, values + 8 * (k + j)) for j in range(len(pairs))])
+        k += len(pairs)
     return path, entries
 
 
@@ -550,13 +567,14 @@ class TestLoadChecks:
         ("val0", -np.inf, "<f8", "case 0: value -inf is not finite"),
         ("id1", 0, "<i8", "duplicate"),
         ("word0", 1 << 9, "<u8", "high bits"),
-        ("nnz0", -1, "<i8", "negative count"),
-        ("nnz0", 1 << 40, "<i8", "truncated"),
+        ("nnz0", 5, "<i8", "case 0: count 5 exceeds dim"),
+        ("nnz0", 4, "<i8", "truncated"),  # a count of dim reads past the end
     ])
     def test_corrupt_file_rejected(self, tmp_path, field, value, dtype, match):
         path, offsets = two_case_file(tmp_path)
         HashIndex.load(path)  # intact file loads
-        patch(path, offsets[field], value, dtype)
+        offset, width = offsets[field]
+        patch(path, offset, value, dtype, width)
         with pytest.raises(DataFormatError, match=match):
             HashIndex.load(path)
 
@@ -594,7 +612,7 @@ class TestLoadChecks:
         path, entries = rows_file(tmp_path, [[], [(0, 1.0), (3, 2.0)], [],
                                              [(1, 3.0), (2, 4.0)]])
         HashIndex.load(path)
-        patch(path, entries[-1][-1][entry], value, dtype)
+        patch(path, entries[-1][-1][entry], value, dtype, "<u1" if entry == 0 else "<f8")
         with pytest.raises(DataFormatError, match=match):
             HashIndex.load(path)
 
@@ -605,6 +623,25 @@ class TestLoadChecks:
             path.write_bytes(data[:cut])
             with pytest.raises(DataFormatError):
                 HashIndex.load(path)
+
+
+class TestContains:
+    @pytest.mark.parametrize("stored", [[], [5], [-3, 5, 9, 40, 41, 1000]])
+    def test_present_and_absent_ids(self, monkeypatch, stored):
+        idx = HashIndex(r=8, dim=4)
+        for k, cid in enumerate(stored):
+            idx.insert(make_case(4, [(k % 4, 1.0)], case_id=cid), HashCode(r=8, words=(k,)))
+        # a membership test searches once and raises nothing: it never goes
+        # through the KeyError of the id accessors
+        monkeypatch.setattr(HashIndex, "_rows", lambda self, ids: pytest.fail("_rows called"))
+        for cid in stored:
+            assert cid in idx
+        below, above = min(stored, default=0) - 1, max(stored, default=0) + 1
+        between = [cid + 1 for cid in stored if cid + 1 not in stored]
+        for cid in [below, above, *between]:
+            assert cid not in idx
+        idx.insert(make_case(4, [], case_id=above), HashCode(r=8, words=(0,)))
+        assert above in idx
 
 
 class TestStats:

@@ -7,7 +7,8 @@ integer in floating point and the index's distances (norms expanded as
 Codes are drawn as a few bit flips around two fixed centres, so Hamming
 balls of radius 0-2 hold something; at r=70 the codes span two words, and
 both centres set bit 63. Query radii run up to r, so a query can reach every
-stored code.
+stored code. The file tests run at the feature dims where the file's count
+and index widths change, and truncate files of each width at every byte.
 """
 
 import tempfile
@@ -19,10 +20,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from casehash import HashCode, HashIndex, SparseCase, SparseVector, hamming_distance
+from casehash import (DataFormatError, HashCode, HashIndex, LshPlanes, SparseCase, SparseVector,
+                      hamming_distance)
 from casehash.sparse import cases_to_csr
 
-from conftest import to_dense, to_signs
+from conftest import narrowest, to_dense, to_signs
 
 DIM = 5
 CENTRES = {6: (0b101100, 0b010011),
@@ -241,5 +243,100 @@ def test_save_load_save_is_byte_identical(r):
             back.save(written)
             fresh_index(r, stored).save(built)
             assert written.read_bytes() == built.read_bytes()
+
+    check()
+
+
+# the dims where an index file's count or feature-index width changes
+WIDTH_EDGES = [1, 2, 255, 256, 257, 65535, 65536, 65537]
+
+
+def wide_features(dim):
+    """Feature dicts at a dim, their indices drawn at either end of the range
+    as often as anywhere in it."""
+    index = st.one_of(st.integers(0, min(2, dim - 1)), st.integers(max(dim - 3, 0), dim - 1),
+                      st.integers(0, dim - 1))
+    return st.dictionaries(index, feature_values, max_size=4)
+
+
+def wide_index(dim, built, inserted):
+    """An r=6 index at dim of the built feature dicts, coded by LSH planes,
+    ids descending in build order, then the inserted ones with their codes,
+    ids ascending: its rows need sorting into file order."""
+    cases = [SparseCase(id=2 * (len(built) - k), label=k % 3,
+                        features=SparseVector.from_pairs(dim, feats.items()))
+             for k, feats in enumerate(built)]
+    idx = HashIndex.build(cases, LshPlanes.sample(6, dim, seed=1)) if cases else HashIndex(6, dim)
+    for k, (feats, spec) in enumerate(inserted):
+        idx.insert(SparseCase(id=2 * k + 1, label=k % 3,
+                              features=SparseVector.from_pairs(dim, feats.items())),
+                   make_code(6, spec))
+    return idx
+
+
+def layout_length(idx) -> int:
+    """The byte length the documented layout gives an index file."""
+    n, total = len(idx), sum(idx.case(cid).features.nnz for cid in idx.ids())
+    count, index = np.dtype(narrowest(idx.dim)), np.dtype(narrowest(idx.dim - 1))
+    return (4 + 8 * 4 + 8 * n * (2 + (idx.r + 63) // 64) + count.itemsize * n
+            + (index.itemsize + 8) * total)
+
+
+@pytest.mark.parametrize("dim", WIDTH_EDGES)
+def test_file_widths_round_trip(dim):
+    """At every width edge: save, load and save give the same bytes, the file
+    has the documented length, and the loaded index holds the same cases and
+    codes and answers every query as the saved one did."""
+    @settings(max_examples=15, deadline=None)
+    @given(built=st.lists(wide_features(dim), max_size=8),
+           inserted=st.lists(st.tuples(wide_features(dim), code_specs(6)), max_size=6),
+           qs=st.lists(st.tuples(wide_features(dim), code_specs(6), st.integers(1, 8),
+                                 st.integers(0, 6)), min_size=1, max_size=3))
+    def check(built, inserted, qs):
+        idx = wide_index(dim, built, inserted)
+        with tempfile.TemporaryDirectory() as tmp:
+            first, second = Path(tmp, "first.idx"), Path(tmp, "second.idx")
+            idx.save(first)
+            back = HashIndex.load(first)
+            back.save(second)
+            assert first.read_bytes() == second.read_bytes()
+            assert len(first.read_bytes()) == layout_length(idx)
+        assert back.ids() == idx.ids()
+        for cid in idx.ids():
+            assert back.case(cid) == idx.case(cid)
+            assert back.code(cid) == idx.code(cid)
+            assert back.labels([cid]).tolist() == idx.labels([cid]).tolist()
+        for k, (feats, spec, top_n, max_radius) in enumerate(qs):
+            query = SparseCase(id=1000 + k, label=0,
+                               features=SparseVector.from_pairs(dim, feats.items()))
+            for a, b in ((idx.retrieve(query, make_code(6, spec), top_n, max_radius),
+                          back.retrieve(query, make_code(6, spec), top_n, max_radius)),
+                         (idx.linear_scan(query, top_n), back.linear_scan(query, top_n))):
+                assert (a.ids, a.n_candidates, a.radius_used) == (b.ids, b.n_candidates,
+                                                                  b.radius_used)
+                assert a.distances.tobytes() == b.distances.tobytes()
+
+    check()
+
+
+@pytest.mark.parametrize("dim", [4, 300])
+def test_every_prefix_is_rejected(dim):
+    """Every proper prefix of a file whose counts and indices are one byte
+    wide (dim 4) or two (dim 300) raises DataFormatError."""
+    @settings(max_examples=10, deadline=None)
+    @given(built=st.lists(wide_features(dim), min_size=1, max_size=5),
+           inserted=st.lists(st.tuples(wide_features(dim), code_specs(6)), max_size=3))
+    def check(built, inserted):
+        idx = wide_index(dim, built, inserted)
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp, "cases.idx")
+            idx.save(path)
+            data = path.read_bytes()
+            assert len(data) == layout_length(idx)
+            HashIndex.load(path)
+            for cut in range(len(data)):
+                path.write_bytes(data[:cut])
+                with pytest.raises(DataFormatError):
+                    HashIndex.load(path)
 
     check()

@@ -1,11 +1,11 @@
 """Property test for the batch of a model update.
 
 Hypothesis draws a small case base, an update interval and a sequence of
-retains and removes, removes of buffered ids among them. After each step
-the engine's buffer must hold the retained ids in order, and each round's
-PairBatch (the rows of x, i, j and s) must equal reference_update_batch,
-which forms the batch from case objects with a generator seeded as the
-engine's is.
+retains and removes, removes of buffered ids among them, and retains of
+removed cases, which can buffer an id twice. After each step the engine's
+buffer must hold the retained ids in order, and each round's PairBatch (the
+rows of x, i, j and s) must equal reference_update_batch, which forms the
+batch from case objects with a generator seeded as the engine's is.
 """
 
 import numpy as np
@@ -21,7 +21,11 @@ DIM = 6
 HYPER = Hyperparams(k_w=3, k_v=3, r=6, l=2, hidden=3)
 
 operations = st.lists(st.one_of(st.just(("retain", 0)),
-                                st.tuples(st.sampled_from(["remove", "remove_buffered"]),
+                                # removes of buffered ids and retains of removed
+                                # cases twice as often, so ids are buffered twice
+                                st.tuples(st.sampled_from(["remove", "remove_buffered",
+                                                           "remove_buffered", "retain_removed",
+                                                           "retain_removed"]),
                                           st.integers(0, 1000))),
                       max_size=30)
 
@@ -32,7 +36,7 @@ def same_batch(batch, want) -> bool:
             and batch.j.tolist() == j.tolist() and batch.s.tolist() == s.tolist())
 
 
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=200, deadline=None)
 @given(n_base=st.integers(1, 8), n_u=st.integers(1, 4), seed=st.integers(0, 2 ** 32 - 1),
        ops=operations)
 def test_update_batches_match_the_reference(n_base, n_u, seed, ops):
@@ -42,7 +46,7 @@ def test_update_batches_match_the_reference(n_base, n_u, seed, ops):
     idx = HashIndex.build(base, params)
     # one step per round, so a round with pairs makes one objective call
     eng = CbrEngine(idx, params, top_n=2, update_interval=n_u, update_epochs=1, seed=seed)
-    stored, buffer = {c.id: c for c in base}, []
+    stored, removed, buffer = {c.id: c for c in base}, {}, []
     oracle_rng = np.random.default_rng(seed)
     seen = []
     real = cbr_module.adaptive_objective_and_grad
@@ -55,9 +59,14 @@ def test_update_batches_match_the_reference(n_base, n_u, seed, ops):
     try:
         next_id = 100
         for op, k in ops:
-            if op == "retain":
-                case = random_cases(rng, 1, dim=DIM, nnz=3, n_labels=3, id_start=next_id)[0]
-                next_id += 1
+            if op == "retain_removed" and not removed:
+                continue
+            if op in ("retain", "retain_removed"):
+                if op == "retain":
+                    case = random_cases(rng, 1, dim=DIM, nnz=3, n_labels=3, id_start=next_id)[0]
+                    next_id += 1
+                else:
+                    case = removed.pop(sorted(removed)[k % len(removed)])
                 calls = len(seen)
                 assert eng.retain(case)[0]
                 stored[case.id] = case
@@ -73,7 +82,8 @@ def test_update_batches_match_the_reference(n_base, n_u, seed, ops):
                 pool = sorted(stored) if op == "remove" else [c for c in buffer if c in stored]
                 if pool:
                     cid = pool[k % len(pool)]
-                    assert idx.remove(cid) == stored.pop(cid)
+                    removed[cid] = stored.pop(cid)
+                    assert idx.remove(cid) == removed[cid]
             assert eng.buffer == buffer
     finally:
         cbr_module.adaptive_objective_and_grad = real
