@@ -130,7 +130,7 @@ class CbrEngine:
         t1 = time.perf_counter_ns()
         votes: dict[int, int] = {}
         dist_sum: dict[int, float] = {}
-        for lab, dist in zip(self.index.labels(result.ids).tolist(), result.distances.tolist()):
+        for lab, dist in zip(result.labels.tolist(), result.distances.tolist()):
             votes[lab] = votes.get(lab, 0) + 1
             dist_sum[lab] = dist_sum.get(lab, 0.0) + dist
         if votes:

@@ -350,6 +350,7 @@ def _stream(args, cfg: RunConfig, init, rest, out) -> int:
             "updated": rec.updated,
             "radius_used": rec.suggestion.retrieval.radius_used,
             "n_candidates": rec.suggestion.retrieval.n_candidates,
+            "votes": rec.suggestion.votes,  # label -> count; JSON keys are strings
             "hash_us": round(rec.suggestion.hash_us, 1),
             "retrieve_us": round(rec.suggestion.retrieve_us, 1),
             "reuse_us": round(rec.suggestion.reuse_us, 1),

@@ -36,20 +36,25 @@ scattered across memory, at more than twice the cost.
 
 The buckets are one table: the distinct codes as a (n_buckets, words)
 uint64 array sorted word by word, beside each bucket's ascending int64
-array of the rows that share its code. An insert finds its bucket by binary
-search, appending its row there or placing a new code at its sorted place;
-a remove or a recode regroups every row in bulk. A query gathers candidates
-one complete Hamming radius level at a time (0, then 1, then 2 by default),
-stopping as soon as enough candidates exist: level 0 is a binary search of
-the table, and only a query that needs more counts its distance to every
-bucket, once, and takes the buckets at each distance in turn. Since buckets
-are disjoint the gathered arrays concatenate into the candidate rows with
-no set or id search. The survivors are reranked by Euclidean distance on
-the original feature vectors and the top n kept by (distance, id). When the
-candidates are one bucket whose rows are still one range, the rerank reads
-that slice of the snapshot, the norms and the ids in place; any other
-candidate set gathers its rows first. linear_scan ranks every stored case
-with the same distance kernel and serves as the retrieval oracle.
+array of the rows that share its code. An insert finds its bucket by
+binary search, appending its row there or placing a new code at its sorted
+place; a remove or a recode regroups every row in bulk. One walk, _gather,
+is the only reader of the table for a query: it takes candidates one
+complete Hamming radius level at a time (0, then 1, then 2 by default),
+stopping as soon as enough candidates exist. Level 0 is a binary search of
+the table, and only a walk that needs more counts its distance to every
+bucket, once, and takes the buckets at each distance in turn. Since
+buckets are disjoint the gathered arrays concatenate into the candidate
+rows with no set or id search. candidates_within asks for more rows than
+the index holds, so its walk takes every level up to its radius. _rank
+reranks the walk's rows by Euclidean distance on the original feature
+vectors and keeps the top n by (distance, id), with their ids and labels;
+an empty walk ranks to an empty answer. When the candidates are one bucket
+whose rows are still one range, the rerank reads that slice of the
+snapshot, the norms, the ids and the labels in place; any other candidate
+set gathers its rows first. linear_scan ranks every stored case through
+the same _rank and serves as the retrieval oracle. build and insert refuse
+a non-finite feature value, as load does.
 """
 
 from __future__ import annotations
@@ -111,10 +116,12 @@ def _widths(dim: int) -> tuple[str, str]:
 
 @dataclass
 class RetrievalResult:
-    """Ranked ids with distances plus gathering diagnostics and phase timings."""
+    """Ranked ids with their distances and labels (int64, aligned with ids),
+    plus gathering diagnostics and phase timings."""
 
     ids: list[int]
     distances: np.ndarray
+    labels: np.ndarray
     n_candidates: int
     radius_used: int
     gather_us: float = 0.0
@@ -202,6 +209,7 @@ class HashIndex:
         idx._cases = cases
         ids = np.fromiter((c.id for c in cases), dtype=np.int64, count=len(cases))
         labels = np.fromiter((c.label for c in cases), dtype=np.int64, count=len(cases))
+        _check_finite(ids, x.indptr, x.data)
         return idx._set_rows(ids, labels, coder.code_rows(x), x, np.arange(len(cases)))
 
     def _set_rows(self, ids: np.ndarray, labels: np.ndarray, words: np.ndarray,
@@ -237,6 +245,7 @@ class HashIndex:
 
     def insert(self, case: SparseCase, code: HashCode) -> None:
         self._check(case, code)
+        _check_finite([case.id], [0, case.features.nnz], np.array(case.features.values, float))
         if case.id in self:
             raise KeyError(f"duplicate case id {case.id}")
         cases = self._own_cases()
@@ -301,15 +310,35 @@ class HashIndex:
         at = lo + self._table[lo:hi, -1].searchsorted(last)
         return at, at < hi and self._table[at, -1] == last
 
-    def _distances(self, words) -> np.ndarray:
-        """The Hamming distance from a code's words to every bucket, summed
-        word by word: a sum over the table's rows costs twice as much at one
-        word. One word's distances stay uint8, whose arithmetic costs least
-        on a cold cache."""
-        dist = np.bitwise_count(self._table[:, 0] ^ np.uint64(words[0]))
-        for i, w in enumerate(words[1:], 1):
-            dist = dist + np.bitwise_count(self._table[:, i] ^ np.uint64(w)).astype(np.int64)
-        return dist
+    def _gather(self, words, top_n: int, max_radius: int):
+        """The rows of the buckets within max_radius of a code's words, one
+        whole Hamming level at a time until top_n exist, as (rows, their
+        count, the radius reached): an int64 array, zero rows for an empty
+        walk, or a slice for one bucket still in one range. The distance to
+        every bucket is summed word by word: a sum over the table's rows
+        costs twice as much at one word, and one word's distances stay
+        uint8, whose arithmetic costs least on a cold cache."""
+        at, found = self._find(words)
+        parts = [self._buckets[at]] if found else []
+        n_found = sum(map(len, parts))
+        radius_used = 0
+        if n_found < top_n and max_radius > 0:
+            dist = np.bitwise_count(self._table[:, 0] ^ np.uint64(words[0]))
+            for i, w in enumerate(words[1:], 1):
+                dist = dist + np.bitwise_count(self._table[:, i] ^ np.uint64(w)).astype(np.int64)
+            for t in range(1, min(max_radius, self.r) + 1):  # no code lies beyond r
+                level = [self._buckets[b] for b in np.flatnonzero(dist == t).tolist()]
+                parts += level
+                n_found += sum(map(len, level))
+                if n_found >= top_n:
+                    break
+            radius_used = t if n_found >= top_n else max_radius
+        # buckets are disjoint, so the rows are distinct; one bucket that no
+        # insert has extended since the last regroup is one range of rows
+        rows = np.concatenate(parts) if parts else np.zeros(0, dtype=np.int64)
+        if len(parts) == 1 and rows[-1] - rows[0] == len(rows) - 1:
+            rows = slice(int(rows[0]), int(rows[-1]) + 1)
+        return rows, n_found, radius_used
 
     def candidates_within(self, code: HashCode, radius: int) -> set[int]:
         """Ids of stored cases whose codes lie within the Hamming radius."""
@@ -317,8 +346,7 @@ class HashIndex:
             raise ValueError("radius must be >= 0")
         if code.r != self.r:
             raise ValueError(f"code width {code.r} does not match index width {self.r}")
-        parts = [self._buckets[b] for b in np.flatnonzero(self._distances(code.words) <= radius)]
-        return set(self._ids[np.concatenate(parts)].tolist()) if parts else set()
+        return set(self._ids[self._gather(code.words, len(self) + 1, radius)[0]].tolist())
 
     def _matrix(self):
         """The feature snapshot, rebuilt after a write from the case list,
@@ -336,15 +364,17 @@ class HashIndex:
         sq = row_sq[rows] - 2.0 * _row_dots(x, rows, q) + q @ q
         return np.sqrt(np.maximum(sq, 0.0))
 
-    @staticmethod
-    def _rank(ids: np.ndarray, dists: np.ndarray, top_n: int):
-        """The top_n by (distance, id): a partition keeps every candidate at
-        or below the top_n-th distance, so ties there still break by id."""
+    def _rank(self, query: SparseCase, rows, top_n: int):
+        """The top_n of the given snapshot rows by (distance to the query,
+        id), as their ids, distances and labels: a partition keeps every row
+        at or below the top_n-th distance, so ties there still break by id."""
+        dists = self._distances_to(query, rows)
+        ids, labels = self._ids[rows], self._labels[rows]
         if len(dists) > top_n:
             keep = np.flatnonzero(dists <= np.partition(dists, top_n - 1)[top_n - 1])
-            ids, dists = ids[keep], dists[keep]
+            ids, dists, labels = ids[keep], dists[keep], labels[keep]
         order = np.lexsort((ids, dists))[:top_n]
-        return ids[order].tolist(), dists[order]
+        return ids[order].tolist(), dists[order], labels[order]
 
     def retrieve(self, query: SparseCase, code: HashCode, top_n: int,
                  max_radius: int = 2) -> RetrievalResult:
@@ -359,50 +389,23 @@ class HashIndex:
             raise ValueError("top_n must be >= 1")
         if max_radius < 0:
             raise ValueError("max_radius must be >= 0")
-
         t0 = time.perf_counter_ns()
-        at, found = self._find(code.words)
-        parts = [self._buckets[at]] if found else []
-        n_found = sum(map(len, parts))
-        radius_used = 0
-        if n_found < top_n and max_radius > 0:
-            dist = self._distances(code.words)
-            for t in range(1, min(max_radius, self.r) + 1):  # no code lies beyond r
-                level = [self._buckets[b] for b in np.flatnonzero(dist == t).tolist()]
-                parts += level
-                n_found += sum(map(len, level))
-                if n_found >= top_n:
-                    break
-            radius_used = t if n_found >= top_n else max_radius
-        # buckets are disjoint, so the rows are distinct; one bucket that no
-        # insert has extended since the last regroup is one range of rows
-        rows = np.concatenate(parts) if parts else None
-        if len(parts) == 1 and rows[-1] - rows[0] == len(rows) - 1:
-            rows = slice(int(rows[0]), int(rows[-1]) + 1)
-        gather_us = (time.perf_counter_ns() - t0) / 1e3
-
-        if rows is None:
-            return RetrievalResult(ids=[], distances=np.empty(0), n_candidates=0,
-                                   radius_used=radius_used, gather_us=gather_us)
-
+        rows, n_candidates, radius_used = self._gather(code.words, top_n, max_radius)
         t1 = time.perf_counter_ns()
-        dists = self._distances_to(query, rows)
-        ranked_ids, ranked_d = self._rank(self._ids[rows], dists, top_n)
-        rerank_us = (time.perf_counter_ns() - t1) / 1e3
-        return RetrievalResult(ids=ranked_ids, distances=ranked_d,
-                               n_candidates=n_found, radius_used=radius_used,
-                               gather_us=gather_us, rerank_us=rerank_us)
+        ids, dists, labels = self._rank(query, rows, top_n)
+        return RetrievalResult(ids=ids, distances=dists, labels=labels,
+                               n_candidates=n_candidates, radius_used=radius_used,
+                               gather_us=(t1 - t0) / 1e3,
+                               rerank_us=(time.perf_counter_ns() - t1) / 1e3)
 
     def linear_scan(self, query: SparseCase, top_n: int) -> RetrievalResult:
         """Exact top_n over every stored case; the oracle retrieve is judged by."""
         self._check(query)
         t0 = time.perf_counter_ns()
-        dists = self._distances_to(query, slice(0, len(self)))
-        ranked_ids, ranked_d = self._rank(self._ids, dists, top_n)
-        rerank_us = (time.perf_counter_ns() - t0) / 1e3
-        return RetrievalResult(ids=ranked_ids, distances=ranked_d,
+        ids, dists, labels = self._rank(query, slice(0, len(self)), top_n)
+        return RetrievalResult(ids=ids, distances=dists, labels=labels,
                                n_candidates=len(self), radius_used=0,
-                               rerank_us=rerank_us)
+                               rerank_us=(time.perf_counter_ns() - t0) / 1e3)
 
     def save(self, path) -> None:
         """Binary dump, little-endian, rows in code order with ids ascending
@@ -501,9 +504,16 @@ def _check_features(ids, indptr, indices, values, dim: int) -> None:
     bad = np.flatnonzero(values == 0.0)
     if len(bad):
         fail(bad[0], "stored values must be nonzero")
+    _check_finite(ids, indptr, values, "corrupt index file: ")
+
+
+def _check_finite(ids, indptr, values, context: str = "") -> None:
+    """DataFormatError unless every value of the CSR rows is finite; the
+    error names the case of the first value that is not."""
     bad = np.flatnonzero(~np.isfinite(values))
     if len(bad):
-        fail(bad[0], f"value {values[bad[0]]} is not finite")
+        row = int(np.searchsorted(indptr, bad[0], side="right")) - 1
+        raise DataFormatError(f"{context}case {ids[row]}: value {values[bad[0]]} is not finite")
 
 
 def _gather_rows(x, rows: np.ndarray):

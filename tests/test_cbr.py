@@ -100,6 +100,22 @@ class TestSuggest:
         sug = eng.suggest(make_case(3, [(0, 1.0)], case_id=9))
         assert sug.label == 2
 
+    def test_votes_from_the_answer_labels(self, monkeypatch):
+        # the answer carries its neighbours' labels: no second id lookup
+        cases = [make_case(3, [(0, 1.0)], label=1, case_id=0),
+                 make_case(3, [(0, 1.0)], label=1, case_id=1),
+                 make_case(3, [(0, 1.0), (1, 2.0)], label=0, case_id=2)]
+        idx, planes = one_bucket_index(cases)
+
+        def no_lookup(self, ids):
+            raise AssertionError("suggest looked the neighbours' labels up again")
+
+        monkeypatch.setattr(HashIndex, "labels", no_lookup)
+        sug = CbrEngine(idx, planes, top_n=3).suggest(make_case(3, [(0, 1.0)], case_id=9))
+        assert sug.retrieval.ids == [0, 1, 2]
+        assert sug.retrieval.labels.tolist() == [1, 1, 0]
+        assert (sug.label, sug.votes) == (1, {1: 2, 0: 1})
+
     def test_empty_retrieval_gives_none(self, rng):
         cases = [make_case(3, [(0, 1.0)], label=1, case_id=0)]
         planes = LshPlanes.sample(16, 3, seed=1)

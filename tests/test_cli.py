@@ -172,7 +172,11 @@ class TestStreamCommand:
         lines = stdout.strip().splitlines()
         assert len(lines) == 40
         first = json.loads(lines[0])
-        assert {"id", "predicted", "true", "correct", "retained"} <= set(first)
+        assert {"id", "predicted", "true", "correct", "retained", "votes"} <= set(first)
+        for line in map(json.loads, lines):
+            votes = line["votes"]  # label -> count, the label as a JSON string
+            assert sum(votes.values()) == min(3, line["n_candidates"])
+            assert votes[str(line["predicted"])] == max(votes.values())
         summary = json.loads(stderr.strip().splitlines()[-1])
         assert summary["streamed"] == 40
 
@@ -191,6 +195,7 @@ class TestStreamCommand:
         lines = [json.loads(l) for l in stdout.strip().splitlines()]
         got = [(l["predicted"] is None, l["radius_used"], l["n_candidates"]) for l in lines]
         assert got == [(False, 0, 4)] * 2 + [(True, 2, 0)] * 2
+        assert [l["votes"] for l in lines[2:]] == [{}, {}]  # an empty retrieval votes nothing
         summary = json.loads(stderr.strip().splitlines()[-1])
         assert summary["empty_retrievals"] == 2
 

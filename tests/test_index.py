@@ -189,6 +189,24 @@ class TestIndexMutation:
         with pytest.raises(DataFormatError, match="duplicate case id 3"):
             HashIndex.build(cases + cases[1:2], LshPlanes.sample(8, 10, seed=3))
 
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
+    @pytest.mark.parametrize("kind", ["lsh", "learned"])
+    def test_non_finite_value_rejected(self, kind, bad):
+        """build and insert refuse what load would refuse, with load's text
+        and before any coding, so an index always saves a loadable file."""
+        coder = (LshPlanes.sample(8, 10, seed=3) if kind == "lsh" else
+                 init_params(Hyperparams(k_w=4, k_v=4, r=8, l=2, hidden=5), d=10, seed=3))
+        cases = [make_case(10, [(k, 1.0 + k)], label=k % 2, case_id=k) for k in range(6)]
+        poisoned = make_case(10, [(1, 2.0), (4, bad)], label=1, case_id=3)
+        text = f"case 3: value {bad} is not finite"
+        with pytest.raises(DataFormatError, match=text):
+            HashIndex.build(cases[:3] + [poisoned] + cases[4:], coder)
+        idx = HashIndex.build([c for c in cases if c.id != 3], coder)
+        with pytest.raises(DataFormatError, match=text):
+            idx.insert(poisoned, idx.code(0))
+        assert 3 not in idx and len(idx) == 5
+        assert idx.retrieve(cases[0], idx.code(0), top_n=5, max_radius=8).ids == [0, 1, 2, 4, 5]
+
     @pytest.mark.parametrize("r", [7, 9, 70])
     def test_read_code_width_rejected(self, rng, r):
         idx, cases, _ = small_index(rng)
@@ -366,6 +384,8 @@ class TestRetrieve:
         res = idx.retrieve(q, far, top_n=1, max_radius=2)
         assert res.ids == []
         assert res.n_candidates == 0
+        assert res.distances.dtype == np.float64 and len(res.distances) == 0
+        assert res.labels.dtype == np.int64 and len(res.labels) == 0
 
     def test_deep_radius_matches_bruteforce(self, rng):
         # top_n at or past the case count makes the gather run out to the

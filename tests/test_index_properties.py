@@ -70,11 +70,12 @@ class TableCoder:
                         dtype=np.uint64).reshape(len(self.rows), (self.r + 63) // 64)
 
 
-def operations(r):
+def operations(r, min_size=0, max_size=40):
     insert = st.tuples(st.just("insert"), st.integers(0, 30), features, code_specs(r))
     remove = st.tuples(st.just("remove"), st.integers(0, 10 ** 6))
     recode = st.tuples(st.just("recode"), st.lists(code_specs(r), min_size=1, max_size=8))
-    return st.lists(st.one_of(insert, insert, remove, recode), max_size=40)
+    return st.lists(st.one_of(insert, insert, remove, recode), min_size=min_size,
+                    max_size=max_size)
 
 
 def queries(r):
@@ -123,34 +124,36 @@ def check_code_order(idx):
         assert (idx._words[bucket] == code).all()
 
 
-def run_operations(r, initial, ops):
+def run_operations(r, initial, ops, probes=()):
     """Apply ops to a fresh index and to a dict model of it; return both."""
     stored = {}
     for cid, feats, spec in initial:
         if cid not in stored:
             stored[cid] = (make_case(cid, feats, label=cid % 3), make_code(r, spec))
     idx = fresh_index(r, stored)
-    return idx, apply_operations(r, idx, stored, ops)
+    return idx, apply_operations(r, idx, stored, ops, probes)
 
 
-def apply_operations(r, idx, stored, ops):
-    """Apply ops to idx and to stored, its dict model; return the model."""
-    for op in ops:
+def apply_operations(r, idx, stored, ops, probes=()):
+    """Apply ops to idx and to stored, its dict model; return the model.
+    Given probes, after each op check one of them, in turn, against the
+    model: reads between writes see buckets an insert extended and
+    snapshots a write dropped."""
+    for k, op in enumerate(ops):
         if op[0] == "insert":
             _, cid, feats, spec = op
             case, code = make_case(cid, feats, label=cid % 3), make_code(r, spec)
             if cid in stored:
                 with pytest.raises(KeyError):
                     idx.insert(case, code)
-                continue
-            idx.insert(case, code)
-            stored[cid] = (case, code)
+            else:
+                idx.insert(case, code)
+                stored[cid] = (case, code)
         elif op[0] == "remove":
-            if not stored:
-                continue
-            cid = sorted(stored)[op[1] % len(stored)]
-            assert idx.remove(cid) == stored.pop(cid)[0]
-            check_code_order(idx)
+            if stored:
+                cid = sorted(stored)[op[1] % len(stored)]
+                assert idx.remove(cid) == stored.pop(cid)[0]
+                check_code_order(idx)
         else:
             specs = op[1]
             new = {cid: make_code(r, specs[k % len(specs)])
@@ -161,6 +164,8 @@ def apply_operations(r, idx, stored, ops):
             assert changed == sum(new[cid] != code for cid, (_, code) in stored.items())
             stored = {cid: (case, new[cid]) for cid, (case, _) in stored.items()}
             check_code_order(idx)
+        if probes:
+            check_query(r, idx, stored, probes[k % len(probes)], k)
     return stored
 
 
@@ -184,30 +189,47 @@ def check_against_oracle(r, idx, stored, qs):
         assert idx.case(cid) == case
         assert idx.labels([cid])[0] == case.label
         assert idx.code(cid) == code
-    for k, (feats, spec, top_n, max_radius) in enumerate(qs):
-        query, q_code = make_case(1000 + k, feats), make_code(r, spec)
-        for radius in {0, 1, 2, max_radius}:
-            assert idx.candidates_within(q_code, radius) == {
-                cid for cid, (_, code) in stored.items()
-                if hamming_distance(code, q_code) <= radius}
-        res = idx.retrieve(query, q_code, top_n, max_radius=max_radius)
-        ids, dists, n_cands, radius = expected_retrieval(stored, query, q_code, top_n,
-                                                         max_radius)
-        assert res.ids == ids
-        assert res.distances.tolist() == dists
-        assert (res.n_candidates, res.radius_used) == (n_cands, radius)
-        lin = idx.linear_scan(query, top_n)
-        assert (lin.ids, lin.distances.tolist()) == exact_top(stored, query, stored, top_n)
+    for k, q in enumerate(qs):
+        query = check_query(r, idx, stored, q, k, radii=(0, 1, 2))
+        lin = idx.linear_scan(query, top_n=q[2])
+        assert (lin.ids, lin.distances.tolist()) == exact_top(stored, query, stored, q[2])
+        check_labels(lin, stored)
+
+
+def check_query(r, idx, stored, q, k, radii=()):
+    """One drawn query's candidates_within, at its max_radius and the given
+    radii, and its retrieve, labels included, against the model; returns
+    the query case."""
+    feats, spec, top_n, max_radius = q
+    query, q_code = make_case(1000 + k, feats), make_code(r, spec)
+    for radius in {*radii, max_radius}:
+        assert idx.candidates_within(q_code, radius) == {
+            cid for cid, (_, code) in stored.items()
+            if hamming_distance(code, q_code) <= radius}
+    res = idx.retrieve(query, q_code, top_n, max_radius=max_radius)
+    ids, dists, n_cands, radius = expected_retrieval(stored, query, q_code, top_n, max_radius)
+    assert res.ids == ids
+    assert res.distances.tolist() == dists
+    assert (res.n_candidates, res.radius_used) == (n_cands, radius)
+    check_labels(res, stored)
+    return query
+
+
+def check_labels(res, stored):
+    """An answer's labels are its ids' stored labels, as int64."""
+    assert res.labels.dtype == np.int64
+    assert res.labels.tolist() == [stored[cid][0].label for cid in res.ids]
 
 
 @pytest.mark.parametrize("r", [6, 70])
 def test_retrieve_matches_bruteforce_after_mutations(r):
-    @settings(max_examples=60, deadline=None)
+    # a length drawn first: a plain list seldom runs past a dozen ops
+    @settings(max_examples=30, deadline=None)
     @given(initial=st.lists(st.tuples(st.integers(0, 30), features, code_specs(r)),
                             max_size=12),
-           ops=operations(r), qs=queries(r))
+           ops=st.integers(0, 80).flatmap(lambda n: operations(r, n, n)), qs=queries(r))
     def check(initial, ops, qs):
-        idx, stored = run_operations(r, initial, ops)
+        idx, stored = run_operations(r, initial, ops, probes=qs)
         check_stats(idx)
         check_against_oracle(r, idx, stored, qs)
 
